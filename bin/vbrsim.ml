@@ -74,69 +74,34 @@ let backend_arg =
   let doc =
     "Background synthesis backend for model sources: $(b,hosking) streams the truncated \
      Durbin-Levinson recursion (open-ended, O(order) memory); $(b,davies-harte) synthesizes \
-     the whole fixed horizon exactly at every lag in O(n log n) via circulant embedding; \
-     $(b,paxson) is the approximate half-size-circulant FFT sampler — about twice the \
-     davies-harte synthesis throughput, statistically (not bitwise) faithful. The \
-     materializing backends are incompatible with importance sampling ($(b,--is), nonzero \
+     the whole fixed horizon exactly at every lag in O(n log n) via circulant embedding. \
+     The materializing backend is incompatible with importance sampling ($(b,--is), nonzero \
      $(b,--twist)), which needs per-step innovations."
   in
-  Arg.(
-    value & opt string "hosking" & info [ "backend" ] ~docv:"hosking|davies-harte|paxson" ~doc)
+  Arg.(value & opt string "hosking" & info [ "backend" ] ~docv:"hosking|davies-harte" ~doc)
 
 let parse_backend = function
   | "hosking" -> `Hosking
   | "davies-harte" | "dh" -> `Davies_harte
-  | "paxson" -> `Paxson
-  | s ->
-    invalid_arg (Printf.sprintf "bad backend %S (expected hosking, davies-harte or paxson)" s)
-
-let precision_arg =
-  let doc =
-    "Arithmetic tier for model sources: $(b,exact) (default) keeps sample paths bitwise \
-     reproducible against the committed fixtures; $(b,relaxed) swaps in the reassociated \
-     4-accumulator AR dot kernel and the erf-free normal CDF (absolute error < 7.5e-8) — \
-     faster, statistically equivalent, but seed-incompatible with the exact tier. Refused \
-     with $(b,--is): the likelihood accumulator replays exact-tier arithmetic."
-  in
-  Arg.(value & opt string "exact" & info [ "precision" ] ~docv:"exact|relaxed" ~doc)
-
-let parse_precision = function
-  | "exact" -> `Exact
-  | "relaxed" -> `Relaxed
-  | s -> invalid_arg (Printf.sprintf "bad precision %S (expected exact or relaxed)" s)
+  | s -> invalid_arg (Printf.sprintf "bad backend %S (expected hosking or davies-harte)" s)
 
 let kernel_arg =
   let doc =
-    "Streaming-synthesis kernel for model sources — supersedes $(b,--precision) with a \
-     third tier: $(b,exact) and $(b,relaxed) are the two precision tiers; $(b,fft) runs \
-     the overlap-save FFT block kernel, computing the frozen AR filter's long-lag \
-     contribution spectrally per 128-slot block — amortized sublinear in $(b,--order) per \
-     slot, largest win at high orders. Like relaxed, fft is statistically gated but \
-     seed-incompatible with the exact tier. Refused with $(b,--is). When both flags are \
-     given they must agree."
+    "Streaming-synthesis kernel for model sources: $(b,exact) (default) keeps sample paths \
+     bitwise reproducible against the committed fixtures; $(b,fft) runs the overlap-save \
+     FFT block kernel, computing the frozen AR filter's long-lag contribution spectrally \
+     per 128-slot block — amortized sublinear in $(b,--order) per slot, largest win at \
+     high orders — with the erf-free marginal transform. fft is statistically gated but \
+     seed-incompatible with the exact tier. Refused with $(b,--is)."
   in
-  Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"exact|relaxed|fft" ~doc)
+  Arg.(value & opt string "exact" & info [ "kernel" ] ~docv:"exact|fft" ~doc)
 
 let parse_kernel = function
   | "exact" -> `Exact
-  | "relaxed" -> `Relaxed
   | "fft" -> `Fft
-  | s -> invalid_arg (Printf.sprintf "bad kernel %S (expected exact, relaxed or fft)" s)
+  | s -> invalid_arg (Printf.sprintf "bad kernel %S (expected exact or fft)" s)
 
-(* CLI face of [Source.resolve_kernel]: --kernel supersedes
-   --precision, and a --precision that names a different tier is a
-   contradiction, not a preference. *)
-let resolve_kernel ~precision_s ~kernel_s : Ss_mux.Source.kernel =
-  match kernel_s with
-  | None -> (parse_precision precision_s :> Ss_mux.Source.kernel)
-  | Some ks ->
-    let k = parse_kernel ks in
-    (match parse_precision precision_s with
-    | `Relaxed when k <> `Relaxed ->
-      invalid_arg "--precision and --kernel disagree; pass just --kernel"
-    | _ -> k)
-
-let kernel_name = function `Exact -> "exact" | `Relaxed -> "relaxed" | `Fft -> "fft"
+let kernel_name = function `Exact -> "exact" | `Fft -> "fft"
 
 let csv_arg =
   let doc =
@@ -207,14 +172,6 @@ let resume_arg =
      bitwise identical to the uninterrupted one, at any $(b,--domains)/$(b,--shards)."
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
-
-let allow_clipping_arg =
-  let doc =
-    "Proceed even when the approximate Paxson backend clips more than 1% of its circulant \
-     spectrum mass for this model (the synthesis would be statistically distorted; refused \
-     by default)."
-  in
-  Arg.(value & flag & info [ "allow-clipping" ] ~doc)
 
 (* Checkpoint framing shared by mux and abr: the [meta] channel of the
    container carries a fingerprint of every run parameter the snapshot
@@ -567,8 +524,8 @@ let mux_cmd =
     let doc = "Policing measurement window in slots." in
     Arg.(value & opt int 512 & info [ "police-window" ] ~docv:"INT" ~doc)
   in
-  let run_is ~pool ~trace ~utilization ~sources ~order ~backend ~buffer_norm ~buffers ~twist
-      ~horizon ~replications ~seed ~max_lag =
+  let run_is ~pool ~trace ~utilization ~sources ~order ~buffer_norm ~buffers ~twist ~horizon
+      ~replications ~seed ~max_lag =
     let model, _ = Fit.fit ~max_lag trace.Trace.sizes in
     let per_mean = model.Model.mean in
     let service = float_of_int sources *. per_mean /. utilization in
@@ -585,8 +542,7 @@ let mux_cmd =
       | None -> Stdlib.max 100 (int_of_float (10.0 *. b_norm))
     in
     let config ~twist =
-      Ss_mux.Mux_is.make_config ~model ~sources ~order ~backend ~service ~buffer ~slots ~twist
-        ()
+      Ss_mux.Mux_is.make_config ~model ~sources ~order ~service ~buffer ~slots ~twist ()
     in
     let rng = Rng.create ~seed in
     let print_estimate twist e =
@@ -620,17 +576,16 @@ let mux_cmd =
       in
       print_estimate twist (Ss_mux.Mux_is.estimate ?pool (config ~twist) ~replications rng)
   in
-  let run path utilization sources slots order backend precision kernel buffer_norm epsilon
-      composite priority buffers csv seed max_lag domains shards is_mode twist horizon
-      replications faults police police_window checkpoint_every checkpoint_file resume
-      allow_clipping =
+  let run path utilization sources slots order backend kernel buffer_norm epsilon composite
+      priority buffers csv seed max_lag domains shards is_mode twist horizon replications
+      faults police police_window checkpoint_every checkpoint_file resume =
     wrap (fun () ->
         if sources <= 0 then invalid_arg "sources must be positive";
         Pool.with_pool ~domains @@ fun pool ->
         if priority && not composite then invalid_arg "--priority requires --composite";
         let backend_s = backend in
         let backend = parse_backend backend in
-        let kernel = resolve_kernel ~precision_s:precision ~kernel_s:kernel in
+        let kernel = parse_kernel kernel in
         let trace = Trace.load path in
         if is_mode then begin
           if composite then
@@ -643,19 +598,21 @@ let mux_cmd =
             invalid_arg
               "--checkpoint-every/--checkpoint-file/--resume are incompatible with --is \
                (importance-sampled replications carry likelihood state outside the snapshot)";
-          (match kernel with
-          | `Exact -> ()
-          | `Relaxed ->
+          (* Importance-sampled sources always run the exact Hosking
+             recursion; a flag asking for another synthesis is refused
+             here by name rather than silently ignored. *)
+          if backend = `Davies_harte then
             invalid_arg
-              "--precision relaxed is incompatible with --is (the likelihood accumulator \
-               replays exact-tier arithmetic)"
-          | `Fft ->
+              "--backend davies-harte is incompatible with --is (the likelihood accumulator \
+               needs the per-step Hosking innovations, which the materialized circulant \
+               synthesis never produces)";
+          if kernel = `Fft then
             invalid_arg
               "--kernel fft is incompatible with --is (the likelihood accumulator replays \
                the exact per-innovation recursion, which the blocked FFT kernel \
-               reassociates)");
-          run_is ~pool ~trace ~utilization ~sources ~order ~backend ~buffer_norm ~buffers
-            ~twist ~horizon ~replications ~seed ~max_lag
+               reassociates)";
+          run_is ~pool ~trace ~utilization ~sources ~order ~buffer_norm ~buffers ~twist
+            ~horizon ~replications ~seed ~max_lag
         end
         else begin
         if twist <> None || horizon <> None then
@@ -673,35 +630,28 @@ let mux_cmd =
             police police_window seed max_lag
         in
         let rng = Rng.create ~seed in
-        (* The materializing backends synthesize a fixed-length path;
+        (* The materializing backend synthesizes a fixed-length path;
            the simulation length is its natural horizon. *)
         let horizon =
-          match backend with `Hosking -> None | `Davies_harte | `Paxson -> Some slots
+          match backend with `Hosking -> None | `Davies_harte -> Some slots
         in
-        let mk, bg_acf =
+        let mk =
           if composite then begin
             let m = Mpeg.fit trace in
-            ( (fun i ->
-                Ss_mux.Source.of_mpeg
-                  ~name:(Printf.sprintf "src%02d" i)
-                  ~order ~backend ~kernel ?horizon
-                  ~phase:(i mod Gop.length m.Mpeg.gop)
-                  ~priority m (Rng.split rng)),
-              m.Mpeg.background )
+            fun i ->
+              Ss_mux.Source.of_mpeg
+                ~name:(Printf.sprintf "src%02d" i)
+                ~order ~backend ~kernel ?horizon
+                ~phase:(i mod Gop.length m.Mpeg.gop)
+                ~priority m (Rng.split rng)
           end
           else begin
             let model, _ = Fit.fit ~max_lag trace.Trace.sizes in
-            ( (fun i ->
-                Ss_mux.Source.of_model ~name:(Printf.sprintf "src%02d" i) ~order ~backend
-                  ~kernel ?horizon model (Rng.split rng)),
-              Model.background_acf model )
+            fun i ->
+              Ss_mux.Source.of_model ~name:(Printf.sprintf "src%02d" i) ~order ~backend
+                ~kernel ?horizon model (Rng.split rng)
           end
         in
-        (match backend with
-        | `Paxson ->
-          ignore
-            (Ss_mux.Source.paxson_clipping_check ~acf:bg_acf ~n:slots ~allow:allow_clipping)
-        | `Hosking | `Davies_harte -> ());
         let srcs = Array.init sources mk in
         let srcs =
           (* Zero-fault runs never enter the wrapper, so they stay
@@ -817,12 +767,11 @@ let mux_cmd =
   Cmd.v (Cmd.info "mux" ~doc)
     Term.(
       const run $ trace_arg $ utilization_arg $ sources_arg $ slots_arg $ order_arg
-      $ backend_arg $ precision_arg $ kernel_arg $ buffer_arg $ epsilon_arg $ composite_arg
+      $ backend_arg $ kernel_arg $ buffer_arg $ epsilon_arg $ composite_arg
       $ priority_arg
       $ buffers_arg $ csv_arg $ seed_arg $ max_lag_arg $ domains_arg $ shards_arg $ is_arg
       $ twist_arg $ horizon_arg $ replications_arg $ faults_arg $ police_arg
-      $ police_window_arg $ checkpoint_every_arg $ checkpoint_file_arg $ resume_arg
-      $ allow_clipping_arg)
+      $ police_window_arg $ checkpoint_every_arg $ checkpoint_file_arg $ resume_arg)
 
 (* --- abr --- *)
 
@@ -889,9 +838,9 @@ let abr_cmd =
            | Some l -> l
            | None -> invalid_arg (Printf.sprintf "bad ladder level %S" x))
   in
-  let run path utilization sources slots order backend precision kernel seed max_lag domains
-      clients chunks chunk_frames max_buffer policies levels faults checkpoint_every
-      checkpoint_file resume allow_clipping =
+  let run path utilization sources slots order backend kernel seed max_lag domains clients
+      chunks chunk_frames max_buffer policies levels faults checkpoint_every checkpoint_file
+      resume =
     wrap (fun () ->
         if sources <= 0 then invalid_arg "sources must be positive";
         let policies_s = policies in
@@ -900,7 +849,7 @@ let abr_cmd =
         Pool.with_pool ~domains @@ fun pool ->
         let backend_s = backend in
         let backend = parse_backend backend in
-        let kernel = resolve_kernel ~precision_s:precision ~kernel_s:kernel in
+        let kernel = parse_kernel kernel in
         let trace = Trace.load path in
         let model, _ = Fit.fit ~max_lag trace.Trace.sizes in
         (* The fingerprint covers the mux phase only: the fleet phase
@@ -921,14 +870,8 @@ let abr_cmd =
         in
         let rng = Rng.create ~seed in
         let horizon =
-          match backend with `Hosking -> None | `Davies_harte | `Paxson -> Some slots
+          match backend with `Hosking -> None | `Davies_harte -> Some slots
         in
-        (match backend with
-        | `Paxson ->
-          ignore
-            (Ss_mux.Source.paxson_clipping_check ~acf:(Model.background_acf model) ~n:slots
-               ~allow:allow_clipping)
-        | `Hosking | `Davies_harte -> ());
         let srcs =
           Array.init sources (fun i ->
               Ss_mux.Source.of_model ~name:(Printf.sprintf "src%02d" i) ~order ~backend
@@ -1006,11 +949,9 @@ let abr_cmd =
   Cmd.v (Cmd.info "abr" ~doc)
     Term.(
       const run $ trace_arg $ utilization_arg $ sources_arg $ slots_arg $ order_arg
-      $ backend_arg $ precision_arg $ kernel_arg $ seed_arg $ max_lag_arg $ domains_arg
-      $ clients_arg
+      $ backend_arg $ kernel_arg $ seed_arg $ max_lag_arg $ domains_arg $ clients_arg
       $ chunks_arg $ chunk_frames_arg $ max_buffer_arg $ policies_arg $ levels_arg
-      $ faults_arg $ checkpoint_every_arg $ checkpoint_file_arg $ resume_arg
-      $ allow_clipping_arg)
+      $ faults_arg $ checkpoint_every_arg $ checkpoint_file_arg $ resume_arg)
 
 (* --- fastsim --- *)
 
@@ -1050,12 +991,6 @@ let fastsim_cmd =
           | `Davies_harte ->
             `Davies_harte
               (Ss_fractal.Davies_harte.plan ~acf:(Model.background_acf model) ~n:horizon)
-          | `Paxson ->
-            (* Plain-MC replication over an approximate synthesis would
-               bias the estimate; fastsim only replicates exact paths. *)
-            invalid_arg
-              "fastsim: backend paxson is approximate and cannot drive estimation; use \
-               hosking or davies-harte"
         in
         let config ~twist =
           Is.make_config ~table ~arrival ~service ~buffer ~horizon ~twist ~backend ()

@@ -53,7 +53,7 @@ let steps t = t.next_k
 
 (* Streaming accumulator over the truncated-Hosking recursion: exact
    rows up to [order = Table.length - 1], then the frozen AR(order)
-   filter, mirroring Source.background_stream. Memory is O(order)
+   filter, mirroring Hosking.Block. Memory is O(order)
    regardless of horizon. *)
 type stream = {
   sp : plan;

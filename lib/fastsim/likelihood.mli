@@ -70,7 +70,8 @@ val steps : t -> int
     {!t} indexes the plan's delta table directly and therefore only
     supports horizons up to the table length. The streaming variant
     below follows the truncated-Hosking recursion used by
-    [Ss_mux.Source.background_stream]: rows are exact up to
+    {!Ss_fractal.Hosking.Block} (and so by [Ss_mux.Source]'s model
+    sources): rows are exact up to
     [order = Table.length - 1], after which the AR(order) filter is
     frozen, so [delta_k] and [v_k] for [k >= order] come from the
     clamped row. Memory stays O(order) for any horizon. For constant

@@ -85,11 +85,10 @@ let ar_dot row win ~top ~k =
   !s
 
 (* Fast-math variant of [ar_dot]: four independent accumulators give
-   the compiler/CPU four parallel dependency chains, roughly doubling
-   throughput on long rows — at the price of REASSOCIATING the sum,
-   so the result differs from [ar_dot] in the last ulps and is only
-   eligible for the opt-in relaxed precision tier (never the default
-   paths, whose fixtures are bitwise). Same access pattern and
+   the CPU four parallel dependency chains, at the price of
+   REASSOCIATING the sum, so the result differs from [ar_dot] in the
+   last ulps. Only the FFT kernel's sequential lags use it (never the
+   exact path, whose fixtures are bitwise). Same access pattern and
    contract as [ar_dot] otherwise. *)
 let ar_dot_relaxed row win ~top ~k =
   let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
@@ -228,8 +227,7 @@ end
      [k mod order] and [k mod order + order], so the last [order]
      values are always contiguous, ending at
      [((k-1) mod order) + order], and the window feeds [ar_dot]
-     directly. Bit-identical to the historical per-slot path (or its
-     relaxed-dot variant).
+     directly. Bit-identical to {!generate_truncated}.
 
    - [Fft]: overlap-save over an {!Fft_plan} — the stream advances in
      blocks of [s] slots; the contribution of all lags > s to every
@@ -237,7 +235,7 @@ end
      accumulated partition spectra, and only lags <= s stay
      sequential, cutting the per-slot cost from O(order) to
      O(order/s + log s) + s amortized. Seed-incompatible with the
-     other kernels by design (the FFT reassociates the sums);
+     exact kernel by design (the FFT reassociates the sums);
      statistically gated. *)
 module Block = struct
   type fft_state = {
@@ -291,7 +289,7 @@ module Block = struct
       sc
 
   type impl =
-    | Seq of { ring : float array; relaxed : bool }
+    | Seq of float array  (* the double-buffered ring *)
     | Fft_os of fft_state
 
   type t = {
@@ -306,13 +304,11 @@ module Block = struct
     if order < 1 || order >= Table.length table then
       invalid_arg (Printf.sprintf "Hosking.Block.%s: order outside [1, table length)" who)
 
-  let create ?(relaxed = false) ?fft_plan ~table ~order () =
+  let create ?fft_plan ~table ~order () =
     check_order ~who:"create" ~table ~order;
     let impl =
       match fft_plan with
-      | None -> Seq { ring = Array.make (2 * order) 0.0; relaxed }
-      | Some _ when relaxed ->
-          invalid_arg "Hosking.Block.create: relaxed and fft_plan are mutually exclusive"
+      | None -> Seq (Array.make (2 * order) 0.0)
       | Some plan ->
           if Fft_plan.order plan <> order then
             invalid_arg
@@ -340,8 +336,10 @@ module Block = struct
      the same deviate sequence, read unboxed from a float array. The
      write position [p = k mod order] is carried incrementally and
      the frozen AR row/std are hoisted, so the steady-state slot cost
-     is the [ar_dot] chain plus three stores. *)
-  let fill_seq t ~ring ~relaxed rng buf ~off ~len =
+     is the [ar_dot] chain plus three stores. With [innov] the scaled
+     innovation [std_k *. g_k] of each value also lands at the same
+     offset, for the importance sampler's likelihood. *)
+  let fill_seq t ring rng buf ~innov ~off ~len =
     if Array.length t.scratch < len then t.scratch <- Array.make len 0.0;
     let g = t.scratch in
     Rng.fill_gaussian rng g ~off:0 ~len;
@@ -358,20 +356,19 @@ module Block = struct
       let m =
         if kc >= order then
           let top = if pp = 0 then 2 * order else pp + order in
-          if relaxed then ar_dot_relaxed frozen_row ring ~top ~k:order
-          else ar_dot frozen_row ring ~top ~k:order
+          ar_dot frozen_row ring ~top ~k:order
         else if kc = 0 then 0.0
         else
           (* pre-steady-state: pp = kc, so the window top is kc + order *)
-          let row = Array.unsafe_get rows (kc - 1) in
-          if relaxed then ar_dot_relaxed row ring ~top:(pp + order) ~k:kc
-          else ar_dot row ring ~top:(pp + order) ~k:kc
+          ar_dot (Array.unsafe_get rows (kc - 1)) ring ~top:(pp + order) ~k:kc
       in
       let std = if kc >= order then frozen_std else Array.unsafe_get stds kc in
-      let x = m +. (std *. Array.unsafe_get g i) in
+      let e = std *. Array.unsafe_get g i in
+      let x = m +. e in
       Array.unsafe_set ring pp x;
       Array.unsafe_set ring (pp + order) x;
       Array.unsafe_set buf (off + i) x;
+      (match innov with None -> () | Some a -> Array.unsafe_set a (off + i) e);
       let pn = pp + 1 in
       p := if pn = order then 0 else pn;
       k := kc + 1
@@ -482,8 +479,19 @@ module Block = struct
     if len < 0 || off < 0 || off + len > Array.length buf then
       invalid_arg "Hosking.Block.fill: range outside the buffer";
     match t.impl with
-    | Seq { ring; relaxed } -> fill_seq t ~ring ~relaxed rng buf ~off ~len
+    | Seq ring -> fill_seq t ring rng buf ~innov:None ~off ~len
     | Fft_os st -> fill_fft t st rng buf ~off ~len
+
+  let fill_innovations t rng buf ~innovations ~off ~len =
+    if len < 0 || off < 0 || off + len > Array.length buf
+       || off + len > Array.length innovations
+    then invalid_arg "Hosking.Block.fill_innovations: range outside the buffers";
+    match t.impl with
+    | Seq ring -> fill_seq t ring rng buf ~innov:(Some innovations) ~off ~len
+    | Fft_os _ ->
+        invalid_arg
+          "Hosking.Block.fill_innovations: the FFT kernel has no per-value innovation \
+           (its conditional means are reassociated); use the exact kernel"
 
   (* Checkpoint state is the window plus the position counters —
      O(order), never O(horizon). The coefficient table, the partition
@@ -493,7 +501,7 @@ module Block = struct
   let save t w =
     let module W = Ss_checkpoint.W in
     match t.impl with
-    | Seq { ring; _ } ->
+    | Seq ring ->
         W.tag w "hosking-block";
         W.int w t.order;
         W.int w t.k;
@@ -532,7 +540,7 @@ module Block = struct
   let restore t r =
     let module R = Ss_checkpoint.R in
     match t.impl with
-    | Seq { ring; _ } ->
+    | Seq ring ->
         R.tag r "hosking-block";
         let order = R.int r in
         if order <> t.order then
@@ -540,7 +548,10 @@ module Block = struct
             (Ss_checkpoint.Corrupt
                (Printf.sprintf "hosking-block: checkpoint order %d, generator order %d" order
                   t.order));
-        t.k <- R.int r;
+        let k = R.int r in
+        if k < 0 then
+          raise (Ss_checkpoint.Corrupt (Printf.sprintf "hosking-block: position %d < 0" k));
+        t.k <- k;
         R.float_array_into r ring
     | Fft_os st ->
         R.tag r "hosking-block-fft";
@@ -556,8 +567,20 @@ module Block = struct
             (Ss_checkpoint.Corrupt
                (Printf.sprintf "hosking-block-fft: checkpoint partition %d, plan partition %d"
                   s st.plan.Fft_plan.s));
-        st.kp <- R.int r;
-        t.k <- R.int r;
+        let kp = R.int r in
+        let k = R.int r in
+        (* [produce] and [fill_fft] index the window by these counters
+           unchecked: kp is a whole number of blocks, and the served
+           position lies within the last produced block. *)
+        if kp < 0 || kp mod s <> 0 || k < 0 || k > kp || k < kp - s then
+          raise
+            (Ss_checkpoint.Corrupt
+               (Printf.sprintf
+                  "hosking-block-fft: produced %d / served %d not a valid block position \
+                   (partition %d)"
+                  kp k s));
+        st.kp <- kp;
+        t.k <- k;
         R.float_array_into r st.win;
         rebuild_delay st
 end

@@ -94,37 +94,30 @@ module Block : sig
       always contiguous (no per-slot shifting) and the conditional
       mean runs through a 4-way-unrolled single-accumulator dot
       kernel. Successive {!fill}s produce exactly the stream of
-      {!generate_truncated} / [Source.background_stream] on the same
-      generator state, bit for bit, at any block-size split. *)
+      {!generate_truncated} on the same generator state, bit for bit,
+      at any block-size split. *)
 
-  val create :
-    ?relaxed:bool -> ?fft_plan:Fft_plan.t -> table:Table.t -> order:int -> unit -> t
+  val create : ?fft_plan:Fft_plan.t -> table:Table.t -> order:int -> unit -> t
   (** Fresh state over a shared coefficient table. O(order) resident
-      memory. With [relaxed:true] (default false) the conditional-mean
-      dot products run through {!ar_dot_relaxed} instead of {!ar_dot}:
-      roughly 2x faster on long rows but REASSOCIATED floating-point
-      summation, so the stream is only statistically — not bitwise —
-      equivalent to the exact tier (and seed-incompatible with its
-      fixtures).
+      memory.
 
-      With [fft_plan] (mutually exclusive with [relaxed]) the
-      generator runs the overlap-save FFT kernel instead: the stream
-      advances in blocks of [Fft_plan.partition] slots, the
-      contribution of every lag beyond the partition size to all
-      in-block positions is computed by one inverse real FFT over the
-      accumulated partition spectra, and only the first
+      With [fft_plan] the generator runs the overlap-save FFT kernel
+      instead: the stream advances in blocks of [Fft_plan.partition]
+      slots, the contribution of every lag beyond the partition size
+      to all in-block positions is computed by one inverse real FFT
+      over the accumulated partition spectra, and only the first
       [min(partition, order)] lags stay sequential — amortized
       O(order/partition + log partition + partition) per slot instead
-      of O(order). Statistically equivalent to the exact stream
-      (same innovation sequence per produced sample; the FFT merely
+      of O(order). Statistically equivalent to the exact stream (same
+      innovation sequence per produced sample; the FFT merely
       reassociates the conditional-mean sums), but seed-incompatible
-      with both other kernels, like the relaxed tier. The RNG
-      consumption pattern is blocked, so the stream for a given seed
-      is still independent of how callers batch their pulls.
+      with it. The RNG consumption pattern is blocked, so the stream
+      for a given seed is still independent of how callers batch
+      their pulls.
       @raise Invalid_argument if [order] outside
       [1, Table.length table - 1] (the table must also hold the
-      frozen row/std at index [order]), if the plan's order differs,
-      or if both [relaxed] and [fft_plan] are given. *)
+      frozen row/std at index [order]) or if the plan's order
+      differs. *)
 
   val generated : t -> int
   (** Number of values produced so far. *)
@@ -136,6 +129,17 @@ module Block : sig
       @raise Invalid_argument if the range lies outside the
       buffer. *)
 
+  val fill_innovations :
+    t -> Ss_stats.Rng.t -> float array -> innovations:float array -> off:int -> len:int -> unit
+  (** {!fill}, additionally writing each value's innovation
+      [std_k *. g_k] (the value minus its conditional mean, as the
+      likelihood of [Ss_fastsim.Likelihood] consumes it) into
+      [innovations] at the same offsets. The values are bit-identical
+      to {!fill}'s.
+      @raise Invalid_argument if the range lies outside either
+      buffer, or on an FFT-kernel generator (its reassociated
+      conditional means define no exact per-value innovation). *)
+
   val save : t -> Ss_checkpoint.W.t -> unit
   val restore : t -> Ss_checkpoint.R.t -> unit
   (** Checkpoint codec: O(order) state (ring or overlap-save window +
@@ -145,8 +149,9 @@ module Block : sig
       function of the saved window, so snapshots stay
       layout-independent). {!restore} requires a generator created
       with the same [order] and kernel and overwrites it in place.
-      @raise Ss_checkpoint.Corrupt on order/kernel mismatch or
-      malformed data. *)
+      @raise Ss_checkpoint.Corrupt on order/kernel mismatch,
+      position counters no generator could reach, or malformed
+      data. *)
 end
 
 val ar_dot : float array -> float array -> top:int -> k:int -> float
@@ -159,10 +164,9 @@ val ar_dot : float array -> float array -> top:int -> k:int -> float
 
 val ar_dot_relaxed : float array -> float array -> top:int -> k:int -> float
 (** Fast-math variant of {!ar_dot}: four independent accumulators
-    (reassociated sum, ~2x throughput on long rows), combined as
-    [(s0+s2)+(s1+s3)] plus a left-to-right remainder. Differs from
-    {!ar_dot} in the last ulps; only the opt-in relaxed precision tier
-    may use it. *)
+    (reassociated sum), combined as [(s0+s2)+(s1+s3)] plus a
+    left-to-right remainder. Differs from {!ar_dot} in the last ulps;
+    only the FFT kernel's sequential lags use it. *)
 
 val generate : Table.t -> Ss_stats.Rng.t -> float array
 (** Sample one path of the table's full length. *)

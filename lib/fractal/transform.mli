@@ -25,9 +25,10 @@ val relax : t -> t
 (** The relaxed-precision twin of a transform: the same clamp and
     target quantile, but [Phi] evaluated by the erf-free
     {!Ss_stats.Special.normal_cdf_relaxed} (absolute error < 7.5e-8 in
-    probability). Opt-in fast tier only: outputs are statistically
-    indistinguishable from {!make}'s but not bitwise, so relaxed
-    fixtures are seed-incompatible with the exact tier's. *)
+    probability). Used by the opt-in FFT kernel tier only: outputs are
+    statistically indistinguishable from {!make}'s but not bitwise, so
+    that tier's fixtures are seed-incompatible with the exact
+    tier's. *)
 
 val dist : t -> Ss_stats.Dist.t
 (** The target marginal. *)

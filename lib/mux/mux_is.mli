@@ -11,8 +11,8 @@
     each source's exact log likelihood ratio is accumulated by a
     streaming {!Ss_fastsim.Likelihood} accumulator fed from the
     source's innovation probe — the O(order)-memory truncated-Hosking
-    generalization, matching the recursion the sources themselves
-    run. Because the sources are independent, the joint ratio is the
+    generalization, matching the {!Ss_fractal.Hosking.Block}
+    recursion the sources themselves run. Because the sources are independent, the joint ratio is the
     product (log: sum) of per-source ratios.
 
     The overflow event is the first passage of the {!Mux.run} shared
@@ -49,8 +49,6 @@ val make_config :
   model:Ss_core.Model.t ->
   sources:int ->
   ?order:int ->
-  ?backend:Source.backend ->
-  ?kernel:Source.kernel ->
   service:float ->
   buffer:float ->
   slots:int ->
@@ -61,16 +59,12 @@ val make_config :
   config
 (** Validate and precompute. [order] defaults to 256. When [profile]
     is given it overrides the constant [twist] (which then only
-    labels the config); [scales] defaults to all ones. [backend] and
-    [kernel] exist so callers that select a synthesis backend or a
-    fast-math kernel tier get a clear error here rather than a silent
-    behavior change: only the defaults [`Hosking] / [`Exact] are
-    accepted — the likelihood accumulator consumes the per-step
-    innovations of the exact scalar recursion, which neither the
-    materializing syntheses nor the reassociated [`Relaxed] / blocked
-    [`Fft] kernels produce.
-    @raise Invalid_argument on violated constraints (see field docs),
-    [backend:`Davies_harte]/[`Paxson], or a non-[`Exact] [kernel]. *)
+    labels the config); [scales] defaults to all ones. The sources
+    always run the exact Hosking kernel ({!Source.of_model_twisted}):
+    the likelihood accumulator consumes its per-step innovations, so
+    no other backend or kernel can be expressed here.
+    @raise Invalid_argument on violated constraints (see field
+    docs). *)
 
 type replication = {
   hit : bool;  (** the shared queue crossed [buffer] within [slots] *)

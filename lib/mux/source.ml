@@ -3,7 +3,6 @@ module Quad = Ss_stats.Quadrature
 module Acf = Ss_fractal.Acf
 module Hosking = Ss_fractal.Hosking
 module Davies_harte = Ss_fractal.Davies_harte
-module Paxson = Ss_fractal.Paxson
 module Transform = Ss_fractal.Transform
 module Gop = Ss_video.Gop
 module Frame = Ss_video.Frame
@@ -27,24 +26,8 @@ type t = {
   ckpt : ckpt option;
 }
 
-type backend = [ `Hosking | `Davies_harte | `Paxson ]
-type precision = [ `Exact | `Relaxed ]
-type kernel = [ `Exact | `Relaxed | `Fft ]
-
-(* [?precision] predates [?kernel] (which supersedes it with the FFT
-   tier); both are accepted, but a call giving both must not silently
-   prefer one. *)
-let resolve_kernel ~who ~precision ~kernel =
-  match (precision, kernel) with
-  | None, None -> `Exact
-  | Some p, None -> (p :> kernel)
-  | None, Some k -> k
-  | Some p, Some k ->
-    if (p :> kernel) = k then k
-    else
-      invalid_arg
-        (who
-       ^ ": ~precision and ~kernel disagree; pass just ~kernel (it supersedes ~precision)")
+type backend = [ `Hosking | `Davies_harte ]
+type kernel = [ `Exact | `Fft ]
 
 (* Default block implementation over a scalar pull: one call per slot
    in slot order, so adapted sources consume their state (and their
@@ -326,7 +309,6 @@ end
 let default_cache_capacity = 16
 let table_cache : Hosking.Table.t Cache.t = Cache.create default_cache_capacity
 let plan_cache : Davies_harte.plan Cache.t = Cache.create default_cache_capacity
-let paxson_plan_cache : Paxson.plan Cache.t = Cache.create default_cache_capacity
 let fft_plan_cache : Hosking.Fft_plan.t Cache.t = Cache.create default_cache_capacity
 let set_table_cache_capacity cap = Cache.set_capacity table_cache cap
 let table_cache_length () = Cache.length table_cache
@@ -337,7 +319,6 @@ let cache_stats () =
   [
     ("hosking-table", Cache.stats table_cache);
     ("davies-harte-plan", Cache.stats plan_cache);
-    ("paxson-plan", Cache.stats paxson_plan_cache);
     ("hosking-fft-plan", Cache.stats fft_plan_cache);
   ]
 
@@ -354,12 +335,6 @@ let plan_for ~acf ~n =
     (fingerprint ~acf ~order:n, n)
     (fun () -> Davies_harte.plan ~acf ~n)
 
-let paxson_plan_for ~acf ~n =
-  if n < 1 then invalid_arg "Source.paxson_plan_for: n < 1";
-  Cache.find_or_build paxson_plan_cache
-    (fingerprint ~acf ~order:n, n)
-    (fun () -> Paxson.plan ~acf ~n)
-
 let fft_plan_for ~acf ~order =
   if order < 1 || order > 19_999 then
     invalid_arg "Source.fft_plan_for: order outside [1, 19999]";
@@ -371,42 +346,6 @@ let fft_plan_for ~acf ~order =
        bit-identical. *)
     (fun () -> Hosking.Fft_plan.make ~table:(table_for ~acf ~order) ~order)
 
-(* Shared truncated-Hosking core. [shift]/[probe] hook in the
-   importance sampler: the *untwisted* value is kept in [hist] (so
-   conditional means stay those of the original law), the per-step
-   innovation is reported to [probe] for likelihood accumulation, and
-   [shift k] is added only to the emitted value. With both hooks
-   absent the arithmetic is exactly that of the original
-   [background_stream] (the innovation is merely let-bound), so the
-   plain path stays bit-identical — and identical, in turn, to the
-   block kernel ({!Ss_fractal.Hosking.Block}) that the plain model
-   sources now run on. *)
-let background_stream_gen ~acf ~order ~shift ~probe rng =
-  let table = table_for ~acf ~order in
-  (* [hist] holds the last [min k order] background values in
-     chronological order; O(order) resident state. *)
-  let hist = Array.make order 0.0 in
-  let k = ref 0 in
-  fun () ->
-    let kk = if !k < order then !k else order in
-    let m = Hosking.Table.cond_mean table hist kk in
-    let innovation = Hosking.Table.innovation_std table kk *. Rng.gaussian rng in
-    let x = m +. innovation in
-    if !k < order then hist.(!k) <- x
-    else begin
-      Array.blit hist 1 hist 0 (order - 1);
-      hist.(order - 1) <- x
-    end;
-    (match probe with None -> () | Some f -> f ~k:!k ~innovation);
-    let out = match shift with None -> x | Some s -> x +. s !k in
-    incr k;
-    out
-
-let background_stream ~acf ~order rng = background_stream_gen ~acf ~order ~shift:None ~probe:None rng
-
-let background_stream_twisted ~acf ~order ~shift ?probe rng =
-  background_stream_gen ~acf ~order ~shift:(Some shift) ~probe rng
-
 let check_horizon who horizon =
   match horizon with
   | Some h when h < 1 -> invalid_arg (who ^ ": horizon < 1")
@@ -415,15 +354,65 @@ let check_horizon who horizon =
 (* Background block filler: [fill buf off len] appends up to [len]
    fresh background values, returning the count (short only once a
    finite horizon is exhausted). The Hosking backend streams through
-   the cache-blocked ring kernel (relaxed dot kernel when the source
-   runs the fast-math tier, overlap-save FFT kernel under [`Fft]); the
-   Davies–Harte and Paxson backends materialize the whole
-   fixed-horizon path (exactly resp. approximately, both O(n log n))
-   on first use and replay it — the kernel choice only governs the
-   streaming Hosking recursion, so it is ignored there. *)
+   the cache-blocked ring kernel (overlap-save FFT kernel under
+   [`Fft]); the Davies–Harte backend materializes the whole
+   fixed-horizon path exactly in O(n log n) on first use and replays
+   it — the kernel choice only governs the streaming Hosking
+   recursion, so it is ignored there. *)
 let bg_filler ~who ~acf ~order ~backend ~horizon ~kernel rng =
-  let materialized n generate =
+  match backend with
+  | `Hosking ->
+    let table = table_for ~acf ~order in
+    let blk =
+      match kernel with
+      | `Exact -> Hosking.Block.create ~table ~order ()
+      | `Fft -> Hosking.Block.create ~fft_plan:(fft_plan_for ~acf ~order) ~table ~order ()
+    in
+    let remaining = ref (match horizon with None -> max_int | Some h -> h) in
+    let fill buf off len =
+      let take = if len < !remaining then len else !remaining in
+      Hosking.Block.fill blk rng buf ~off ~len:take;
+      remaining := !remaining - take;
+      take
+    in
+    let ckpt =
+      {
+        ck_save =
+          (fun w ->
+            W.tag w "bg-hosking";
+            Rng.save rng w;
+            Hosking.Block.save blk w;
+            W.int w !remaining);
+        ck_restore =
+          (fun r ->
+            R.tag r "bg-hosking";
+            Rng.restore rng r;
+            Hosking.Block.restore blk r;
+            let rem = R.int r in
+            let bad =
+              rem < 0 || match horizon with Some h -> rem > h | None -> false
+            in
+            if bad then
+              raise
+                (Ss_checkpoint.Corrupt
+                   (Printf.sprintf "bg-hosking: remaining slots %d outside [0, %s]" rem
+                      (match horizon with Some h -> string_of_int h | None -> "max_int")));
+            remaining := rem);
+      }
+    in
+    (fill, ckpt)
+  | `Davies_harte ->
+    let n =
+      match horizon with
+      | Some h -> h
+      | None ->
+        invalid_arg
+          (who
+         ^ ": backend `Davies_harte synthesizes a fixed-length path; pass ~horizon (or use \
+            `Hosking for open-ended streaming)")
+    in
     if order < 1 || order > 19_999 then invalid_arg (who ^ ": order outside [1, 19999]");
+    let plan = plan_for ~acf ~n in
     (* Deferred so construction consumes no randomness — like the
        Hosking streams, the generator state only advances on pulls.
        An explicit option (not [lazy]) so restore can reset it: the
@@ -437,7 +426,7 @@ let bg_filler ~who ~acf ~order ~backend ~horizon ~kernel rng =
       match !path with
       | Some xs -> xs
       | None ->
-        let xs = generate rng in
+        let xs = Davies_harte.generate plan rng in
         path := Some xs;
         xs
     in
@@ -471,76 +460,6 @@ let bg_filler ~who ~acf ~order ~backend ~horizon ~kernel rng =
       }
     in
     (fill, ckpt)
-  in
-  let require_horizon backend_name =
-    match horizon with
-    | Some h -> h
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: backend %s synthesizes a fixed-length path; pass ~horizon (or use `Hosking \
-            for open-ended streaming)"
-           who backend_name)
-  in
-  match backend with
-  | `Hosking ->
-    let table = table_for ~acf ~order in
-    let blk =
-      match kernel with
-      | `Exact -> Hosking.Block.create ~table ~order ()
-      | `Relaxed -> Hosking.Block.create ~relaxed:true ~table ~order ()
-      | `Fft -> Hosking.Block.create ~fft_plan:(fft_plan_for ~acf ~order) ~table ~order ()
-    in
-    let remaining = ref (match horizon with None -> max_int | Some h -> h) in
-    let fill buf off len =
-      let take = if len < !remaining then len else !remaining in
-      Hosking.Block.fill blk rng buf ~off ~len:take;
-      remaining := !remaining - take;
-      take
-    in
-    let ckpt =
-      {
-        ck_save =
-          (fun w ->
-            W.tag w "bg-hosking";
-            Rng.save rng w;
-            Hosking.Block.save blk w;
-            W.int w !remaining);
-        ck_restore =
-          (fun r ->
-            R.tag r "bg-hosking";
-            Rng.restore rng r;
-            Hosking.Block.restore blk r;
-            remaining := R.int r);
-      }
-    in
-    (fill, ckpt)
-  | `Davies_harte ->
-    let n = require_horizon "`Davies_harte" in
-    let plan = plan_for ~acf ~n in
-    materialized n (Davies_harte.generate plan)
-  | `Paxson ->
-    let n = require_horizon "`Paxson" in
-    let plan = paxson_plan_for ~acf ~n in
-    materialized n (Paxson.generate plan)
-
-(* Clipping gate for the approximate Paxson backend: the plan never
-   refuses (clipping negative circulant eigenvalues is its design
-   trade), but silently distorting more than 1% of the spectral mass
-   is a correctness hazard at the CLI boundary. Returns the ratio so
-   callers can report it. *)
-let paxson_clipping_check ~acf ~n ~allow =
-  let plan = paxson_plan_for ~acf ~n in
-  let ratio = Paxson.clipped_ratio plan in
-  if ratio > 0.01 && not allow then
-    invalid_arg
-      (Printf.sprintf
-         "Source.paxson_clipping_check: the Paxson backend clipped %.2f%% of the circulant \
-          spectral mass for ACF %s at n=%d (limit 1%%) — the synthesized correlation \
-          structure would be distorted; pass --allow-clipping to proceed anyway, or use \
-          --backend davies-harte (exact, refuses non-embeddable ACFs) or --backend hosking"
-         (100.0 *. ratio) acf.Acf.name n);
-  ratio
 
 (* Per-slot marginal moments of a transform, by Gauss-Hermite
    quadrature on the standard-normal background. *)
@@ -549,37 +468,16 @@ let transform_moments h =
   let m2 = Quad.gaussian_expectation ~n:128 (fun x -> let y = Transform.apply1 h x in y *. y) in
   (m, Stdlib.max 0.0 (m2 -. (m *. m)))
 
-let of_model_gen ~name ~order ~shift ~probe model rng =
-  let acf = Model.background_acf model in
-  let bg = background_stream_gen ~acf ~order ~shift ~probe rng in
-  let h = model.Model.transform in
+(* The foreground pull shared by [of_model] and [of_model_twisted]:
+   [fill_bg] appends background values, then each is mapped through
+   the marginal transform and clamped at zero like [of_mpeg]
+   (histogram-inverse transforms can dip slightly negative in the far
+   tail, and Mux.run rejects negative work). The clamp is
+   [Stdlib.max 0.0 w] monomorphized ([if 0.0 >= w then 0.0 else w] —
+   the same definition on a float comparison, NaN passed through),
+   avoiding a boxed polymorphic-compare call per slot. *)
+let of_background ~name ~fill_bg ?ckpt ~h model =
   let _, sigma2 = transform_moments h in
-  (* Clamp at zero like [of_mpeg]: histogram-inverse transforms can
-     dip slightly negative in the far tail, and Mux.run rejects
-     negative work. *)
-  let pull () = (Stdlib.max 0.0 (Transform.apply1 h (bg ())), 0) in
-  make ~name ~mean:model.Model.mean ~sigma2 ~hurst:model.Model.hurst pull
-
-let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?precision ?kernel
-    ?horizon model rng =
-  check_horizon "Source.of_model" horizon;
-  let kernel = resolve_kernel ~who:"Source.of_model" ~precision ~kernel in
-  let acf = Model.background_acf model in
-  let fill_bg, bg_ckpt =
-    bg_filler ~who:"Source.of_model" ~acf ~order ~backend ~horizon ~kernel rng
-  in
-  (* The FFT kernel is already seed-incompatible with the exact tier,
-     so it rides the relaxed marginal transform for the same per-slot
-     speed; only [`Exact] keeps the erf-backed CDF. *)
-  let h =
-    if kernel = `Exact then model.Model.transform else Transform.relax model.Model.transform
-  in
-  let _, sigma2 = transform_moments h in
-  (* Same per-slot arithmetic as the scalar path: transform, then the
-     zero clamp of [of_model_gen]. The clamp is [Stdlib.max 0.0 w]
-     monomorphized ([if 0.0 >= w then 0.0 else w] — the same
-     definition on a float comparison, NaN passed through), avoiding
-     a boxed polymorphic-compare call per slot. *)
   let pull_block wbuf cbuf off len =
     if len < 0 || off < 0 || off + len > Array.length wbuf || off + len > Array.length cbuf
     then invalid_arg "Source.pull_block: range outside the buffers";
@@ -595,20 +493,55 @@ let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?precision ?
      and block consumption interleave coherently on one source. *)
   let wtmp = [| 0.0 |] and ctmp = [| 0 |] in
   let pull () = if pull_block wtmp ctmp 0 1 = 1 then (wtmp.(0), 0) else raise End_of_stream in
+  make ~pull_block ?ckpt ~name ~mean:model.Model.mean ~sigma2 ~hurst:model.Model.hurst pull
+
+let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Exact)
+    ?horizon model rng =
+  check_horizon "Source.of_model" horizon;
+  let acf = Model.background_acf model in
+  let fill_bg, bg_ckpt =
+    bg_filler ~who:"Source.of_model" ~acf ~order ~backend ~horizon ~kernel rng
+  in
+  (* The FFT kernel is already seed-incompatible with the exact tier,
+     so it rides the relaxed marginal transform for the same per-slot
+     speed; only [`Exact] keeps the erf-backed CDF. *)
+  let h =
+    match kernel with
+    | `Exact -> model.Model.transform
+    | `Fft -> Transform.relax model.Model.transform
+  in
   (* The marginal transform is stateless: the background filler is the
      whole checkpointable state. *)
-  make ~pull_block ~ckpt:bg_ckpt ~name ~mean:model.Model.mean ~sigma2
-    ~hurst:model.Model.hurst pull
+  of_background ~name ~fill_bg ~ckpt:bg_ckpt ~h model
 
+(* The exact Hosking block kernel under the mean-shifted law: the ring
+   keeps the *untwisted* values (so conditional means stay those of
+   the original law), the block's innovations are fed to [probe] in
+   slot order, and [shift k] is added only to the emitted value. *)
 let of_model_twisted ?(name = "model-is") ?(order = 512) ~shift ?probe model rng =
-  of_model_gen ~name ~order ~shift:(Some shift) ~probe model rng
+  let table = table_for ~acf:(Model.background_acf model) ~order in
+  let blk = Hosking.Block.create ~table ~order () in
+  let innovations = ref [||] in
+  let k = ref 0 in
+  let fill_bg buf off len =
+    if Array.length !innovations < off + len then
+      innovations := Array.make (Array.length buf) 0.0;
+    let innov = !innovations in
+    Hosking.Block.fill_innovations blk rng buf ~innovations:innov ~off ~len;
+    for j = off to off + len - 1 do
+      (match probe with None -> () | Some f -> f ~k:!k ~innovation:innov.(j));
+      buf.(j) <- buf.(j) +. shift !k;
+      incr k
+    done;
+    len
+  in
+  of_background ~name ~fill_bg ~h:model.Model.transform model
 
-let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?precision ?kernel
+let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Exact)
     ?horizon ?(phase = 0) ?(priority = false) m rng =
   if phase < 0 then invalid_arg "Source.of_mpeg: phase < 0";
   check_horizon "Source.of_mpeg" horizon;
-  let kernel = resolve_kernel ~who:"Source.of_mpeg" ~precision ~kernel in
-  let relaxed = kernel <> `Exact in
+  let relaxed = kernel = `Fft in
   let gop = m.Mpeg.gop in
   let fill_bg, bg_ckpt =
     bg_filler ~who:"Source.of_mpeg" ~acf:m.Mpeg.background ~order ~backend ~horizon ~kernel
@@ -674,7 +607,10 @@ let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?precision ?ke
         (fun r ->
           bg_ckpt.ck_restore r;
           R.tag r "mpeg-gop";
-          t := R.int r);
+          let t' = R.int r in
+          if t' < 0 then
+            raise (Ss_checkpoint.Corrupt (Printf.sprintf "mpeg-gop: GOP position %d < 0" t'));
+          t := t');
     }
   in
   make ~pull_block ~ckpt ~name ~mean ~sigma2 ~hurst:m.Mpeg.i_model.Model.hurst pull

@@ -57,50 +57,31 @@ type t = {
           provide it. *)
 }
 
-type backend = [ `Hosking | `Davies_harte | `Paxson ]
+type backend = [ `Hosking | `Davies_harte ]
 (** Background-synthesis backend for model sources. [`Hosking]
     (default) streams the truncated Durbin–Levinson recursion —
     open-ended, O(order) memory, exact to lag [order]. [`Davies_harte]
     materializes the whole fixed-[horizon] background path exactly
     (every lag, not just the first [order]) in O(horizon log horizon)
     via circulant embedding; it requires [~horizon] and the source
-    departs cleanly when the horizon is exhausted. [`Paxson] is the
-    approximate half-size-circulant FFT sampler
-    ({!Ss_fractal.Paxson}): the same fixed-[horizon] contract as
-    [`Davies_harte] at roughly twice its synthesis throughput, but
-    only statistically faithful (gated on sample ACF and
-    variance–time Hurst, never bitwise) — meant for bulk background
-    traffic. Both materializing backends are refused by
-    {!Mux_is.make_config}: approximate or not, they produce no
-    per-step innovations for the streaming likelihood. *)
+    departs cleanly when the horizon is exhausted. *)
 
-type precision = [ `Exact | `Relaxed ]
-(** Arithmetic tier for model sources. [`Exact] (default) keeps every
-    committed fixture bitwise: single-accumulator AR dot kernel,
-    erf-backed [normal_cdf]. [`Relaxed] swaps in the 4-accumulator
-    reassociated dot kernel ({!Ss_fractal.Hosking.ar_dot_relaxed})
-    and the erf-free CDF ({!Ss_stats.Special.normal_cdf_relaxed},
-    absolute error < 7.5e-8) — measurably faster, statistically
-    equivalent, but NOT bit-compatible: relaxed runs have their own
-    fixture set and the same seed produces different (equally valid)
-    sample paths than the exact tier. *)
-
-type kernel = [ `Exact | `Relaxed | `Fft ]
-(** Streaming-synthesis kernel for model sources — supersedes
-    {!precision} with a third tier. [`Exact] and [`Relaxed] are the
-    two {!precision} tiers. [`Fft] runs the overlap-save FFT block
-    kernel ({!Ss_fractal.Hosking.Fft_plan}): the frozen AR filter's
-    contribution beyond the first partition of lags is computed
-    spectrally per block of {!Ss_fractal.Hosking.Fft_plan.partition}
-    slots, breaking the O(order)-per-slot ceiling — amortized
-    O(order/partition + log partition + partition) per slot. Like
-    [`Relaxed] it is statistically equivalent to (and gated against)
-    the exact tier but seed-incompatible with it, and it uses the
-    relaxed marginal transform. Only the streaming [`Hosking] backend
-    is affected; materializing backends ignore the kernel for the
-    background (the relaxed transform choice still applies). Refused
-    by {!Mux_is.make_config} for non-[`Exact] values: importance
-    sampling certifies likelihoods against the exact fixture tier. *)
+type kernel = [ `Exact | `Fft ]
+(** Streaming-synthesis kernel for model sources. [`Exact] (default)
+    keeps every committed fixture bitwise: single-accumulator AR dot
+    kernel, erf-backed [normal_cdf]. [`Fft] runs the overlap-save FFT
+    block kernel ({!Ss_fractal.Hosking.Fft_plan}): the frozen AR
+    filter's contribution beyond the first partition of lags is
+    computed spectrally per block of
+    {!Ss_fractal.Hosking.Fft_plan.partition} slots, breaking the
+    O(order)-per-slot ceiling — amortized
+    O(order/partition + log partition + partition) per slot. It is
+    statistically equivalent to (and gated against) the exact tier
+    but seed-incompatible with it, and it uses the erf-free marginal
+    transform ({!Ss_fractal.Transform.relax}). Only the streaming
+    [`Hosking] backend is affected; the Davies–Harte backend ignores
+    the kernel for the background (the transform choice still
+    applies). *)
 
 val make :
   ?pull_block:(float array -> int array -> int -> int -> int) ->
@@ -157,7 +138,6 @@ val of_model :
   ?name:string ->
   ?order:int ->
   ?backend:backend ->
-  ?precision:precision ->
   ?kernel:kernel ->
   ?horizon:int ->
   Ss_core.Model.t ->
@@ -174,20 +154,15 @@ val of_model :
     slightly negative in the far tail; {!Mux.run} rejects negative
     work).
 
-    With [backend:`Davies_harte] ([`Paxson]) the background is
-    synthesized exactly (approximately) over the whole (mandatory)
-    [horizon] by circulant embedding — see {!backend}. With a
-    [horizon] under the default [`Hosking] backend the source simply
-    departs after that many slots. [precision:`Relaxed] swaps in the
-    fast-math tier — see {!precision}; it only affects the Hosking
-    kernel and the marginal transform, so it composes with every
-    backend. [kernel] (see {!kernel}) supersedes [precision] with the
-    additional [`Fft] overlap-save tier; when both are given they must
-    agree. Default (neither given): [`Exact].
+    With [backend:`Davies_harte] the background is synthesized
+    exactly over the whole (mandatory) [horizon] by circulant
+    embedding — see {!backend}. With a [horizon] under the default
+    [`Hosking] backend the source simply departs after that many
+    slots. [kernel] (default [`Exact]) selects the streaming tier —
+    see {!kernel}.
     @raise Invalid_argument if [order < 1] or [order > 19_999], if
-    [horizon < 1], if a materializing backend ([`Davies_harte],
-    [`Paxson]) is requested without [horizon], or if [precision] and
-    [kernel] disagree. *)
+    [horizon < 1], or if [`Davies_harte] is requested without
+    [horizon]. *)
 
 val of_model_twisted :
   ?name:string ->
@@ -208,15 +183,16 @@ val of_model_twisted :
     innovation, before the shifted value is emitted) reconstructs the
     exact log likelihood ratio of the path. With [shift = fun _ ->
     0.0] the emitted arrivals are bit-identical to {!of_model} on the
-    same generator state. Always Hosking-backed: the likelihood
-    accumulator needs the per-step innovations, which the
-    materializing Davies–Harte backend does not produce. *)
+    same generator state, at any block split. Always runs the exact
+    {!Ss_fractal.Hosking.Block} kernel: the likelihood accumulator
+    needs the per-step innovations, which neither the materializing
+    Davies–Harte backend nor the reassociating FFT kernel produces.
+    Not checkpointable (the likelihood state lives in the probe). *)
 
 val of_mpeg :
   ?name:string ->
   ?order:int ->
   ?backend:backend ->
-  ?precision:precision ->
   ?kernel:kernel ->
   ?horizon:int ->
   ?phase:int ->
@@ -230,33 +206,12 @@ val of_mpeg :
     (default 0) staggers GOP alignment across sources. With
     [priority:true], I frames are class 0, P class 1, B class 2;
     otherwise every slot is class 0. [mean]/[sigma2] are the
-    GOP-pattern-averaged per-slot moments. [backend]/[precision]/
-    [kernel]/[horizon] govern the background synthesis exactly as in
-    {!of_model} (under [`Relaxed] and [`Fft] the three per-kind
-    transforms are relaxed once up front, not per slot).
+    GOP-pattern-averaged per-slot moments. [backend]/[kernel]/
+    [horizon] govern the background synthesis exactly as in
+    {!of_model} (under [`Fft] the three per-kind transforms are
+    relaxed once up front, not per slot).
     @raise Invalid_argument if [phase < 0], [order] out of range,
     [horizon < 1], or a materializing backend without [horizon]. *)
-
-val background_stream :
-  acf:Ss_fractal.Acf.t -> order:int -> Ss_stats.Rng.t -> unit -> float
-(** The underlying streaming standard-normal background generator
-    (exposed for tests and custom marginals): successive calls yield
-    the truncated-Hosking path, bit-identical to
-    [Ss_fractal.Hosking.generate_truncated ~acf ~max_order:order]
-    driven by the same generator state.
-    @raise Invalid_argument if [order < 1] or [order > 19_999]. *)
-
-val background_stream_twisted :
-  acf:Ss_fractal.Acf.t ->
-  order:int ->
-  shift:(int -> float) ->
-  ?probe:(k:int -> innovation:float -> unit) ->
-  Ss_stats.Rng.t ->
-  unit ->
-  float
-(** {!background_stream} under the mean-shifted law, with the same
-    untwisted-history / innovation-probe contract as
-    {!of_model_twisted}. *)
 
 val table_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Table.t
 (** The cached Hosking table backing model sources at this (ACF,
@@ -275,12 +230,6 @@ val plan_for : acf:Ss_fractal.Acf.t -> n:int -> Ss_fractal.Davies_harte.plan
     @raise Invalid_argument if [n < 1] or the ACF is not embeddable
     at this length (see {!Ss_fractal.Davies_harte.plan}). *)
 
-val paxson_plan_for : acf:Ss_fractal.Acf.t -> n:int -> Ss_fractal.Paxson.plan
-(** The cached Paxson plan backing [`Paxson] model sources at this
-    (ACF, horizon) pair — same cache discipline as {!plan_for}.
-    @raise Invalid_argument if [n < 1] (Paxson plans never refuse on
-    eigenvalue clipping; see {!Ss_fractal.Paxson.clipped_ratio}). *)
-
 val fft_plan_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Fft_plan.t
 (** The cached overlap-save convolution plan backing [`Fft]-kernel
     model sources at this (ACF, order) pair — same cache discipline
@@ -288,15 +237,6 @@ val fft_plan_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Fft_p
     cold plan lookup may also populate the table cache). Plans are
     immutable and shared freely across sources and domains.
     @raise Invalid_argument if [order < 1] or [order > 19_999]. *)
-
-val paxson_clipping_check : acf:Ss_fractal.Acf.t -> n:int -> allow:bool -> float
-(** Gate on the Paxson backend's silent eigenvalue clipping: plans
-    the (cached) Paxson synthesis and returns
-    {!Ss_fractal.Paxson.clipped_ratio}. When the ratio exceeds 0.01
-    and [allow] is false, refuses with a message naming the ACF, the
-    ratio, and the [--allow-clipping] escape hatch — the CLI calls
-    this before building [`Paxson] sources.
-    @raise Invalid_argument on refusal or if [n < 1]. *)
 
 val set_table_cache_capacity : int -> unit
 (** Bound on the number of Hosking tables retained by the process
@@ -318,7 +258,6 @@ type cache_stats = { hits : int; misses : int; evictions : int }
 
 val cache_stats : unit -> (string * cache_stats) list
 (** Counters for every process-wide plan/table cache, keyed
-    ["hosking-table"], ["davies-harte-plan"], ["paxson-plan"],
-    ["hosking-fft-plan"]. Counters are monotone for the process
+    ["hosking-table"], ["davies-harte-plan"], ["hosking-fft-plan"]. Counters are monotone for the process
     lifetime — diff two snapshots to measure a phase (the throughput
     bench prints exactly that). *)

@@ -4,8 +4,9 @@
    generators, every source backend, fault wrappers), and the
    end-to-end contract — a resumed multiplexer or ABR run is bitwise
    identical to the uninterrupted one at any shard/domain count —
-   plus the Paxson clipping gate and the fault-spec parser's
-   boundary validation that ride in the same PR. *)
+   plus the refusal of snapshots whose position counters no
+   generator could reach, and the fault-spec parser's boundary
+   validation. *)
 
 module Ck = Ss_checkpoint
 module W = Ss_checkpoint.W
@@ -393,9 +394,6 @@ let test_source_roundtrips () =
   source_roundtrip "of_model davies-harte" (fun () ->
       Source.of_model ~name:"dh" ~order:48 ~backend:`Davies_harte ~horizon:400 m
         (Rng.create ~seed:22));
-  source_roundtrip "of_model paxson" (fun () ->
-      Source.of_model ~name:"px" ~order:48 ~backend:`Paxson ~horizon:400 m
-        (Rng.create ~seed:23));
   source_roundtrip "of_mpeg priority" (fun () ->
       Source.of_mpeg ~name:"mp" ~order:48 ~priority:true (Lazy.force small_mpeg)
         (Rng.create ~seed:24));
@@ -453,30 +451,104 @@ let prop_source_snapshot_continuation =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Paxson clipping gate                                                 *)
+(* Bad position counters in well-framed snapshots                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_paxson_clipping_gate () =
-  (* FGN-family ACFs embed cleanly: the gate must wave them through
-     with a ratio at (or near) zero. *)
-  let r = Source.paxson_clipping_check ~acf:(Acf.fgn ~h:0.8) ~n:2048 ~allow:false in
-  if r > 0.01 then Alcotest.failf "fgn clipped ratio %g above threshold" r;
-  (* A rectangular short-range ACF has strongly negative circulant
-     eigenvalues: the plan silently clips them, and the gate must
-     refuse unless explicitly overridden. *)
-  let rect =
-    Acf.of_fun ~name:"rect-acf" (fun k -> if k = 0 then 1.0 else if k <= 8 then 0.95 else 0.0)
+(* Each payload below is written field by field through [W] and framed
+   with a valid CRC, so the only thing wrong with it is one counter:
+   restore must refuse it by name instead of indexing with it. *)
+let framed write =
+  snd (Ck.decode ~kind:"counter-test" (Ck.encode ~kind:"counter-test" ~meta:"" (snap write)))
+
+let test_corrupt_block_position () =
+  let order = 32 in
+  let table = Source.table_for ~acf:(Acf.fgn ~h:0.8) ~order in
+  raises_corrupt ~contains:"position" "negative served count" (fun () ->
+      Hosking.Block.restore
+        (Hosking.Block.create ~table ~order ())
+        (framed (fun w ->
+             W.tag w "hosking-block";
+             W.int w order;
+             W.int w (-3);
+             W.float_array w (Array.make (2 * order) 0.0))))
+
+let test_corrupt_fft_block_counters () =
+  let order = 160 in
+  let table = Source.table_for ~acf:(Acf.fgn ~h:0.8) ~order in
+  let plan = Hosking.Fft_plan.make ~table ~order in
+  let s = Hosking.Fft_plan.partition_size plan in
+  let hl = (order + s - 1) / s * s in
+  let payload ~kp ~k w =
+    W.tag w "hosking-block-fft";
+    W.int w order;
+    W.int w s;
+    W.int w kp;
+    W.int w k;
+    W.float_array w (Array.make (hl + s) 0.0)
   in
-  (match Source.paxson_clipping_check ~acf:rect ~n:512 ~allow:false with
-  | exception Invalid_argument m ->
-    List.iter
-      (fun sub ->
-        if not (Astring.String.is_infix ~affix:sub m) then
-          Alcotest.failf "refusal %S lacks %S" m sub)
-      [ "rect-acf"; "--allow-clipping" ]
-  | r -> Alcotest.failf "expected refusal, got ratio %g" r);
-  let r = Source.paxson_clipping_check ~acf:rect ~n:512 ~allow:true in
-  if r <= 0.01 then Alcotest.failf "override path: expected ratio above 0.01, got %g" r
+  let restore ~kp ~k () =
+    Hosking.Block.restore
+      (Hosking.Block.create ~fft_plan:plan ~table ~order ())
+      (framed (payload ~kp ~k))
+  in
+  (* The well-formed extremes restore. *)
+  restore ~kp:(3 * s) ~k:(3 * s) ();
+  restore ~kp:(3 * s) ~k:(2 * s) ();
+  restore ~kp:0 ~k:0 ();
+  List.iter
+    (fun (name, kp, k) ->
+      raises_corrupt ~contains:"not a valid block position" name (restore ~kp ~k))
+    [
+      ("negative produced count", -s, -s);
+      ("produced count off the block grid", s + 1, s);
+      ("served past produced", 2 * s, (2 * s) + 1);
+      ("served before the last block", 3 * s, s);
+      ("negative served at start", 0, -1);
+    ]
+
+let test_corrupt_bg_remaining () =
+  let m = Lazy.force small_model in
+  let order = 48 in
+  let acf = Ss_core.Model.background_acf m in
+  let payload ~remaining w =
+    W.tag w "source";
+    W.string w "bg";
+    W.tag w "bg-hosking";
+    Rng.save (Rng.create ~seed:1) w;
+    Hosking.Block.save (Hosking.Block.create ~table:(Source.table_for ~acf ~order) ~order ()) w;
+    W.int w remaining
+  in
+  let restore ?horizon remaining () =
+    Source.restore
+      (Source.of_model ~name:"bg" ~order ?horizon m (Rng.create ~seed:2))
+      (framed (payload ~remaining))
+  in
+  restore ~horizon:400 400 ();
+  restore max_int ();
+  raises_corrupt ~contains:"remaining" "negative remaining" (restore (-1));
+  raises_corrupt ~contains:"remaining" "remaining past the horizon" (restore ~horizon:400 401)
+
+let test_corrupt_mpeg_gop_position () =
+  let mp = Lazy.force small_mpeg in
+  let order = 48 in
+  let acf = mp.Ss_core.Mpeg.background in
+  let payload ~t w =
+    W.tag w "source";
+    W.string w "mp";
+    W.tag w "bg-hosking";
+    Rng.save (Rng.create ~seed:1) w;
+    Hosking.Block.save (Hosking.Block.create ~table:(Source.table_for ~acf ~order) ~order ()) w;
+    W.int w max_int;
+    W.tag w "mpeg-gop";
+    W.int w t
+  in
+  let restore t () =
+    Source.restore
+      (Source.of_mpeg ~name:"mp" ~order mp (Rng.create ~seed:2))
+      (framed (payload ~t))
+  in
+  restore 5 ();
+  raises_corrupt ~contains:"GOP position" "negative GOP position" (restore (-2))
 
 (* ------------------------------------------------------------------ *)
 (* Fault-spec parser boundary validation                                *)
@@ -881,16 +953,19 @@ let () =
           tc "welford / vt / p2" test_online_roundtrips;
           tc "hosking block" test_hosking_block_roundtrip;
           tc "hosking block (fft kernel)" test_hosking_block_fft_roundtrip;
+          tc "hosking block bad position" test_corrupt_block_position;
+          tc "hosking block (fft kernel) bad counters" test_corrupt_fft_block_counters;
         ] );
       ( "sources",
         [
           tc "every backend round-trips" test_source_roundtrips;
           tc "fault-wrapped round-trips" test_fault_wrapped_roundtrip;
           tc "refusals" test_source_refusals;
+          tc "bg-hosking bad remaining" test_corrupt_bg_remaining;
+          tc "mpeg-gop bad position" test_corrupt_mpeg_gop_position;
         ] );
       ( "gates",
         [
-          tc "paxson clipping gate" test_paxson_clipping_gate;
           tc "fault-spec parser boundaries" test_fault_parse_boundaries;
         ] );
       ( "mux",

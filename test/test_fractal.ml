@@ -8,7 +8,6 @@ module Dist = Ss_stats.Dist
 module Acf = Ss_fractal.Acf
 module Hosking = Ss_fractal.Hosking
 module DH = Ss_fractal.Davies_harte
-module Paxson = Ss_fractal.Paxson
 module Hurst = Ss_fractal.Hurst
 module Transform = Ss_fractal.Transform
 module Acf_fit = Ss_fractal.Acf_fit
@@ -281,8 +280,45 @@ let test_hosking_block_matches_truncated () =
   raises_invalid "order outside table" (fun () ->
       Hosking.Block.create ~table ~order:(order + 1) ())
 
+let test_hosking_block_innovations () =
+  (* fill_innovations writes the same values as fill, and beside each
+     the innovation std_k * g_k of the straight-line recursion: the
+     table's innovation std at min(k, order) times the k-th deviate
+     of the same generator, bit for bit, at any chunking. *)
+  let acf = Acf.fgn ~h:0.85 in
+  let order = 32 and n = 200 in
+  let table = Hosking.Table.make ~acf ~n:(order + 1) in
+  let expect = Hosking.generate_truncated ~acf ~n ~max_order:order (Rng.create ~seed:22) in
+  let g = Rng.create ~seed:22 in
+  let expect_innov =
+    Array.init n (fun k ->
+        Hosking.Table.innovation_std table (Stdlib.min k order) *. Rng.gaussian g)
+  in
+  let b = Hosking.Block.create ~table ~order () in
+  let rng = Rng.create ~seed:22 in
+  let xs = Array.make n nan and innov = Array.make n nan in
+  let off = ref 0 in
+  List.iter
+    (fun len ->
+      Hosking.Block.fill_innovations b rng xs ~innovations:innov ~off:!off ~len;
+      off := !off + len)
+    [ 1; 7; 64; 3; 125 ];
+  for i = 0 to n - 1 do
+    if Int64.bits_of_float xs.(i) <> Int64.bits_of_float expect.(i) then
+      Alcotest.failf "slot %d: value differs from generate_truncated" i;
+    if Int64.bits_of_float innov.(i) <> Int64.bits_of_float expect_innov.(i) then
+      Alcotest.failf "slot %d: innovation %h, want %h" i innov.(i) expect_innov.(i)
+  done;
+  raises_invalid "short innovation buffer" (fun () ->
+      Hosking.Block.fill_innovations b rng xs ~innovations:(Array.make 4 0.0) ~off:0 ~len:5);
+  let order = 160 in
+  let table = Hosking.Table.make ~acf ~n:(order + 1) in
+  let fft = Hosking.Block.create ~fft_plan:(Hosking.Fft_plan.make ~table ~order) ~table ~order () in
+  raises_invalid "fft kernel has no innovations" (fun () ->
+      Hosking.Block.fill_innovations fft rng xs ~innovations:innov ~off:0 ~len:1)
+
 (* ------------------------------------------------------------------ *)
-(* Relaxed precision tier                                               *)
+(* Reassociated dot kernel (the FFT tier's sequential lags)             *)
 (* ------------------------------------------------------------------ *)
 
 let test_ar_dot_relaxed_close () =
@@ -300,92 +336,6 @@ let test_ar_dot_relaxed_close () =
       if abs_float (exact -. relaxed) /. scale > 1e-12 then
         Alcotest.failf "k=%d: relaxed dot %.17g far from exact %.17g" k relaxed exact)
     [ 1; 2; 3; 4; 5; 7; 8; 64; 513 ]
-
-let test_block_relaxed_close_to_exact () =
-  (* Same innovations, same AR rows: the relaxed block only
-     reassociates each dot product, so the paths track the exact tier
-     to float rounding (amplified mildly by the AR feedback). *)
-  let acf = Acf.fgn ~h:0.85 in
-  let order = 32 and n = 400 in
-  let table = Hosking.Table.make ~acf ~n:(order + 1) in
-  let exact = Array.make n 0.0 and relaxed = Array.make n 0.0 in
-  Hosking.Block.fill (Hosking.Block.create ~table ~order ()) (Rng.create ~seed:31) exact
-    ~off:0 ~len:n;
-  Hosking.Block.fill
-    (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:31) relaxed ~off:0 ~len:n;
-  for i = 0 to n - 1 do
-    close ~eps:1e-9 (Printf.sprintf "slot %d" i) exact.(i) relaxed.(i)
-  done
-
-let test_block_relaxed_deterministic () =
-  (* Relaxed runs are seed-deterministic like exact ones — they just
-     live on their own fixture set. *)
-  let acf = Acf.fgn ~h:0.85 in
-  let order = 32 and n = 100 in
-  let table = Hosking.Table.make ~acf ~n:(order + 1) in
-  let a = Array.make n 0.0 and b = Array.make n 0.0 in
-  Hosking.Block.fill (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:32) a ~off:0 ~len:n;
-  Hosking.Block.fill (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:32) b ~off:0 ~len:n;
-  for i = 0 to n - 1 do
-    if Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then
-      Alcotest.failf "slot %d: relaxed run not reproducible" i
-  done
-
-let test_block_relaxed_statistics () =
-  (* The relaxed tier is gated statistically, not bitwise: a long
-     relaxed path must carry the model's dependence structure. *)
-  let h = 0.8 in
-  let acf = Acf.fgn ~h in
-  let order = 256 and n = 16_384 in
-  let table = Hosking.Table.make ~acf ~n:(order + 1) in
-  let x = Array.make n 0.0 in
-  Hosking.Block.fill (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:33) x ~off:0 ~len:n;
-  close ~eps:0.05 "variance" 1.0 (D.variance x);
-  let r = D.acf x ~max_lag:5 in
-  close ~eps:0.04 "r(1)" (acf.Acf.r 1) r.(1);
-  (* Variance-time Hurst: compare estimator-to-estimator against an
-     exact path of the same law (cancels the estimator's own bias). *)
-  let xe = Array.make n 0.0 in
-  Hosking.Block.fill (Hosking.Block.create ~table ~order ()) (Rng.create ~seed:33) xe ~off:0
-    ~len:n;
-  let hv = (Hurst.variance_time x).Hurst.h and he = (Hurst.variance_time xe).Hurst.h in
-  close ~eps:0.03 "variance-time H vs exact tier" he hv
-
-let test_block_relaxed_fixture () =
-  (* The relaxed tier's own bitwise fixture (fixed seed, FGN H=0.85,
-     order 32): head of the path plus the tail of a 64-slot fill, so
-     both the pre-steady-state rows and the steady-state relaxed
-     kernel are pinned. These values are NOT the exact tier's — the
-     tiers are seed-incompatible by design; regenerate the constants
-     whenever the relaxed kernel's summation order is changed on
-     purpose. *)
-  let acf = Acf.fgn ~h:0.85 in
-  let order = 32 and n = 64 in
-  let table = Hosking.Table.make ~acf ~n:(order + 1) in
-  let x = Array.make n 0.0 in
-  Hosking.Block.fill
-    (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:34) x ~off:0 ~len:n;
-  let check i want =
-    if Int64.bits_of_float x.(i) <> Int64.bits_of_float want then
-      Alcotest.failf "relaxed fixture slot %d: got %.17g, want %.17g" i x.(i) want
-  in
-  List.iter
-    (fun (i, v) -> check i v)
-    [
-      (0, -0.28642766337665915);
-      (1, -1.3558264563091447);
-      (2, -0.79517431890815637);
-      (3, -2.4189329787314655);
-      (60, 0.42151655300344537);
-      (61, 0.55077089703725468);
-      (62, 0.66193624721298905);
-      (63, 0.5743725973464674);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* FFT overlap-save tier                                                *)
@@ -439,10 +389,6 @@ let test_block_fft_pull_pattern () =
     if Int64.bits_of_float one.(i) <> Int64.bits_of_float two.(i) then
       Alcotest.failf "slot %d: chunked fft fill differs" i
   done;
-  raises_invalid "relaxed + fft_plan" (fun () ->
-      Hosking.Block.create ~relaxed:true
-        ~fft_plan:(Hosking.Fft_plan.make ~table ~order)
-        ~table ~order ());
   raises_invalid "plan order mismatch" (fun () ->
       Hosking.Block.create
         ~fft_plan:(Hosking.Fft_plan.make ~table ~order:100)
@@ -485,8 +431,8 @@ let test_block_fft_fixture () =
      order 192 so the overlap-save path and last-partition padding
      are both live): head of the path plus the tail of a 640-slot
      fill, pinning warmup, the kernel's steady state, and the
-     block/serve cursor plumbing. These values are NOT the exact or
-     relaxed tier's — the kernels are seed-incompatible by design;
+     block/serve cursor plumbing. These values are NOT the exact
+     tier's — the kernels are seed-incompatible by design;
      regenerate the constants whenever the FFT kernel's summation
      structure is changed on purpose. *)
   let acf = Acf.fgn ~h:0.85 in
@@ -580,92 +526,6 @@ let test_dh_generate_into_matches_generate () =
   if not (Float.is_nan buf.(256)) then Alcotest.fail "wrote past plan_length";
   raises_invalid "short buffer" (fun () ->
       DH.generate_into plan (Rng.create ~seed:9) (Array.make 255 0.0))
-
-(* ------------------------------------------------------------------ *)
-(* Paxson approximate synthesis                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_paxson_plan_basics () =
-  let plan = Paxson.plan ~acf:(Acf.fgn ~h:0.8) ~n:4096 in
-  Alcotest.(check int) "plan length" 4096 (Paxson.plan_length plan);
-  let cr = Paxson.clipped_ratio plan in
-  if cr < 0.0 || cr > 0.05 then
-    Alcotest.failf "FGN folded circulant should be (near-)PSD, clipped ratio %g" cr;
-  (* Non-power-of-two lengths fold onto the next power of two. *)
-  let p2 = Paxson.plan ~acf:(Acf.fgn ~h:0.8) ~n:3000 in
-  Alcotest.(check int) "non-pow2 length" 3000 (Paxson.plan_length p2)
-
-let test_paxson_deterministic () =
-  let plan = Paxson.plan ~acf:(Acf.fgn ~h:0.7) ~n:100 in
-  let a = Paxson.generate plan (Rng.create ~seed:40) in
-  let b = Paxson.generate plan (Rng.create ~seed:40) in
-  Array.iteri (fun i v -> close "reproducible" v b.(i)) a
-
-let test_paxson_sample_stats () =
-  let acf = Acf.fgn ~h:0.8 in
-  let plan = Paxson.plan ~acf ~n:32_768 in
-  let x = Paxson.generate plan (Rng.create ~seed:41) in
-  Alcotest.(check int) "length" 32_768 (Array.length x);
-  close ~eps:0.3 "mean" 0.0 (D.mean x);
-  close ~eps:0.08 "variance" 1.0 (D.variance x);
-  let r = D.acf x ~max_lag:5 in
-  close ~eps:0.03 "r(1)" (acf.Acf.r 1) r.(1);
-  close ~eps:0.04 "r(3)" (acf.Acf.r 3) r.(3)
-
-let test_paxson_white_noise () =
-  let plan = Paxson.plan ~acf:Acf.white_noise ~n:10_000 in
-  let x = Paxson.generate plan (Rng.create ~seed:42) in
-  let r = D.acf x ~max_lag:3 in
-  close ~eps:0.03 "white r(1)" 0.0 r.(1);
-  close ~eps:0.03 "white variance" 1.0 (D.variance x)
-
-let test_paxson_statistical_gates () =
-  (* The gates that define the approximate backend (mirrored in the
-     bench throughput-smoke variant): averaged sample ACF within 0.05
-     of the model at every lag <= 100, and variance-time Hurst within
-     0.03 of the same estimator on exact Davies-Harte paths. *)
-  let h = 0.8 in
-  let acf = Acf.fgn ~h in
-  let n = 16_384 and paths = 6 in
-  let plan = Paxson.plan ~acf ~n in
-  let dh_plan = DH.plan ~acf ~n in
-  let rng = Rng.create ~seed:43 in
-  let acf_avg = Array.make 101 0.0 in
-  let h_px = ref 0.0 and h_dh = ref 0.0 in
-  for _ = 1 to paths do
-    let xp = Paxson.generate plan (Rng.split rng) in
-    let xd = DH.generate dh_plan (Rng.split rng) in
-    let r = D.acf xp ~max_lag:100 in
-    for k = 1 to 100 do
-      acf_avg.(k) <- acf_avg.(k) +. r.(k)
-    done;
-    h_px := !h_px +. (Hurst.variance_time xp).Hurst.h;
-    h_dh := !h_dh +. (Hurst.variance_time xd).Hurst.h
-  done;
-  let fp = float_of_int paths in
-  for k = 1 to 100 do
-    let e = abs_float ((acf_avg.(k) /. fp) -. acf.Acf.r k) in
-    if e > 0.05 then
-      Alcotest.failf "sample ACF off by %.4f at lag %d (tolerance 0.05)" e k
-  done;
-  close ~eps:0.03 "variance-time H vs exact backend" (!h_dh /. fp) (!h_px /. fp)
-
-let test_paxson_generate_into_matches_generate () =
-  let plan = Paxson.plan ~acf:(Acf.fgn ~h:0.8) ~n:256 in
-  let a = Paxson.generate plan (Rng.create ~seed:44) in
-  let buf = Array.make 300 nan in
-  Paxson.generate_into plan (Rng.create ~seed:44) buf;
-  for i = 0 to 255 do
-    if Int64.bits_of_float a.(i) <> Int64.bits_of_float buf.(i) then
-      Alcotest.failf "slot %d: generate_into differs from generate" i
-  done;
-  if not (Float.is_nan buf.(256)) then Alcotest.fail "wrote past plan_length";
-  raises_invalid "short buffer" (fun () ->
-      Paxson.generate_into plan (Rng.create ~seed:44) (Array.make 255 0.0))
-
-let test_paxson_invalid () =
-  raises_invalid "n = 0" (fun () -> Paxson.plan ~acf:Acf.white_noise ~n:0);
-  raises_invalid "n < 0" (fun () -> Paxson.plan ~acf:Acf.white_noise ~n:(-3))
 
 (* ------------------------------------------------------------------ *)
 (* Cholesky oracle: for small n, sample the Gaussian vector directly
@@ -1180,14 +1040,11 @@ let () =
           tc "truncated prefix exact" test_hosking_truncated_prefix_exact;
           tc "truncated acf close" test_hosking_truncated_acf_close;
           tc "block kernel = truncated" test_hosking_block_matches_truncated;
+          tc "block innovations = truncated" test_hosking_block_innovations;
         ] );
       ( "relaxed-tier",
         [
           tc "ar_dot_relaxed close" test_ar_dot_relaxed_close;
-          tc "block relaxed close to exact" test_block_relaxed_close_to_exact;
-          tc "block relaxed deterministic" test_block_relaxed_deterministic;
-          tc "block relaxed statistics" test_block_relaxed_statistics;
-          tc "block relaxed fixture" test_block_relaxed_fixture;
         ] );
       ( "fft-tier",
         [
@@ -1207,16 +1064,6 @@ let () =
           tc "invalid" test_dh_invalid;
           tc "generate_into = generate" test_dh_generate_into_matches_generate;
           tc "cholesky oracle" test_generators_match_cholesky_oracle;
-        ] );
-      ( "paxson",
-        [
-          tc "plan basics" test_paxson_plan_basics;
-          tc "deterministic" test_paxson_deterministic;
-          tc "FGN sample stats" test_paxson_sample_stats;
-          tc "white noise" test_paxson_white_noise;
-          tc "statistical gates" test_paxson_statistical_gates;
-          tc "generate_into = generate" test_paxson_generate_into_matches_generate;
-          tc "invalid" test_paxson_invalid;
         ] );
       ( "hurst",
         [

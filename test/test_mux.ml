@@ -262,20 +262,30 @@ let test_source_invalid () =
   raises_invalid "bad hurst" (fun () ->
       Source.make ~name:"x" ~mean:1.0 ~sigma2:1.0 ~hurst:1.5 (fun () -> (0.0, 0)));
   raises_invalid "bad order" (fun () ->
-      ignore
-        (Source.background_stream ~acf:(Acf.fgn ~h:0.9) ~order:0 (Rng.create ~seed:1)
-          : unit -> float))
+      Source.of_model ~order:0 (Lazy.force small_model) (Rng.create ~seed:1));
+  raises_invalid "bad twisted order" (fun () ->
+      Source.of_model_twisted ~order:0 ~shift:(fun _ -> 0.0) (Lazy.force small_model)
+        (Rng.create ~seed:1))
 
-let test_background_stream_matches_truncated_hosking () =
-  (* The streaming generator is the truncated-Hosking path, slot by
+(* The straight-line reference for an exact model source: the
+   truncated-Hosking background of [generate_truncated], mapped
+   through the marginal transform and clamped at zero. *)
+let truncated_reference m ~order ~n rng =
+  let acf = Ss_core.Model.background_acf m in
+  Array.map
+    (fun x -> Stdlib.max 0.0 (Ss_fractal.Transform.apply1 m.Ss_core.Model.transform x))
+    (Hosking.generate_truncated ~acf ~n ~max_order:order rng)
+
+let test_source_matches_truncated_hosking () =
+  (* An exact model source is the truncated-Hosking path, slot by
      slot: same RNG seed, bit-identical output. *)
-  let acf = Acf.fgn ~h:0.9 in
+  let m = Lazy.force small_model in
   let order = 32 and n = 200 in
-  let reference =
-    Hosking.generate_truncated ~acf ~n ~max_order:order (Rng.create ~seed:42)
-  in
-  let stream = Source.background_stream ~acf ~order (Rng.create ~seed:42) in
-  Array.iteri (fun i x -> close ~eps:0.0 (Printf.sprintf "slot %d" i) x (stream ())) reference
+  let reference = truncated_reference m ~order ~n (Rng.create ~seed:42) in
+  let s = Source.of_model ~order m (Rng.create ~seed:42) in
+  Array.iteri
+    (fun i x -> close ~eps:0.0 (Printf.sprintf "slot %d" i) x (fst (Source.next s)))
+    reference
 
 let test_source_of_model_streams () =
   let m = Lazy.force small_model in
@@ -371,18 +381,15 @@ let drain_blocks s bs wbuf cbuf n =
 let bits = Int64.bits_of_float
 
 let test_source_block_scalar_bit_identity () =
-  (* The tentpole contract: for every order and block size, the block
-     pull, the scalar pull on the block-backed source, and the
-     pre-existing closure-based stream (of_model_twisted with zero
-     shift) produce the same slots bit for bit. *)
+  (* For every order and block size, the block pull, the scalar pull
+     on the block-backed source, and the straight-line
+     truncated-Hosking reference produce the same slots bit for
+     bit. *)
   let m = Lazy.force small_model in
   List.iter
     (fun order ->
       let n = order + 300 in
-      let legacy =
-        Source.of_model_twisted ~order ~shift:(fun _ -> 0.0) m (Rng.create ~seed:4311)
-      in
-      let expect = Array.init n (fun _ -> fst (Source.next legacy)) in
+      let expect = truncated_reference m ~order ~n (Rng.create ~seed:4311) in
       let scalar = Source.of_model ~order m (Rng.create ~seed:4311) in
       Array.iteri
         (fun i x ->
@@ -431,14 +438,11 @@ let test_source_mpeg_block_scalar_bit_identity () =
 let test_source_block_scalar_interleave_coherent () =
   (* Scalar and block pulls on one source must consume the same
      underlying stream: mixing them at ragged boundaries still yields
-     the closure-based stream's slots in order. *)
+     the straight-line reference's slots in order. *)
   let m = Lazy.force small_model in
   let order = 64 in
   let n = 257 in
-  let legacy =
-    Source.of_model_twisted ~order ~shift:(fun _ -> 0.0) m (Rng.create ~seed:4313)
-  in
-  let expect = Array.init n (fun _ -> fst (Source.next legacy)) in
+  let expect = truncated_reference m ~order ~n (Rng.create ~seed:4313) in
   let s = Source.of_model ~order m (Rng.create ~seed:4313) in
   let wbuf = Array.make n nan and cbuf = Array.make n 0 in
   let i = ref 0 and step = ref 0 in
@@ -552,98 +556,11 @@ let test_source_dh_backend_statistics () =
     lags;
   close ~eps:0.03 "variance-time H" hurst (!h_acc /. float_of_int reps)
 
-let test_source_paxson_backend_contract () =
-  let m = Lazy.force small_model in
-  raises_invalid "Paxson without horizon" (fun () ->
-      Source.of_model ~backend:`Paxson m (Rng.create ~seed:1));
-  raises_invalid "bad horizon" (fun () ->
-      Source.of_model ~backend:`Paxson ~horizon:0 m (Rng.create ~seed:1));
-  let horizon = 200 in
-  let mk () =
-    Source.of_model ~order:64 ~backend:`Paxson ~horizon m (Rng.create ~seed:4316)
-  in
-  (* Same materialized-backend contract as Davies-Harte: scalar and
-     block consumption agree bit for bit and the source departs
-     cleanly at its horizon. *)
-  let scalar = mk () in
-  let expect = Array.init horizon (fun _ -> fst (Source.next scalar)) in
-  (match Source.next scalar with
-  | exception Source.End_of_stream -> ()
-  | _ -> Alcotest.fail "Paxson source did not depart at its horizon");
-  List.iter
-    (fun bs ->
-      let s = mk () in
-      let wbuf = Array.make (horizon + bs) nan and cbuf = Array.make (horizon + bs) 0 in
-      let got = ref 0 and short = ref false in
-      while not !short do
-        let f = Source.next_block s wbuf cbuf ~off:!got ~len:bs in
-        got := !got + f;
-        if f < bs then short := true
-      done;
-      Alcotest.(check int) "horizon slots" horizon !got;
-      Alcotest.(check int) "drained source fills 0" 0
-        (Source.next_block s wbuf cbuf ~off:0 ~len:bs);
-      for i = 0 to horizon - 1 do
-        if bits wbuf.(i) <> bits expect.(i) then
-          Alcotest.failf "Paxson block %d slot %d differs from scalar" bs i
-      done)
-    [ 1; 7; 64 ];
-  (* All arrivals are marginal workloads: finite and non-negative. *)
-  Array.iteri
-    (fun i w ->
-      if not (Float.is_finite w) || w < 0.0 then
-        Alcotest.failf "Paxson arrival %d invalid: %g" i w)
-    expect
-
-let test_source_relaxed_precision () =
-  (* The relaxed tier is a different arithmetic, not a different
-     process: same seed must give the same marginals up to rounding
-     drift of the reassociated kernel and the erf-free CDF, and the
-     tier itself must be deterministic. *)
-  let m = Lazy.force small_model in
-  let n = 256 in
-  let take s = Array.init n (fun _ -> fst (Source.next s)) in
-  let mk precision =
-    Source.of_model ~order:32 ~precision m (Rng.create ~seed:4317)
-  in
-  let exact = take (mk `Exact) and relaxed = take (mk `Relaxed) in
-  let relaxed' = take (mk `Relaxed) in
-  for i = 0 to n - 1 do
-    if bits relaxed.(i) <> bits relaxed'.(i) then
-      Alcotest.failf "relaxed tier not deterministic at slot %d" i;
-    let tol = 1e-5 *. (1.0 +. abs_float exact.(i)) in
-    if abs_float (exact.(i) -. relaxed.(i)) > tol then
-      Alcotest.failf "slot %d: exact %.17g vs relaxed %.17g" i exact.(i) relaxed.(i)
-  done;
-  (* `Exact` is the default: an explicit request is bit-identical to
-     omitting the argument (this is the committed-fixture guarantee). *)
-  let default = take (Source.of_model ~order:32 m (Rng.create ~seed:4317)) in
-  let explicit = take (mk `Exact) in
-  for i = 0 to n - 1 do
-    if bits default.(i) <> bits explicit.(i) then
-      Alcotest.failf "explicit `Exact differs from default at slot %d" i
-  done;
-  (* The tier composes with MPEG sources and materializing backends. *)
-  let mp = Lazy.force small_mpeg in
-  let s = Source.of_mpeg ~order:16 ~precision:`Relaxed mp (Rng.create ~seed:4318) in
-  for _ = 1 to 64 do
-    let w, _ = Source.next s in
-    if not (Float.is_finite w) || w < 0.0 then Alcotest.fail "relaxed mpeg arrival invalid"
-  done;
-  let s =
-    Source.of_model ~backend:`Paxson ~precision:`Relaxed ~horizon:32 m
-      (Rng.create ~seed:4319)
-  in
-  for _ = 1 to 32 do
-    let w, _ = Source.next s in
-    if not (Float.is_finite w) || w < 0.0 then Alcotest.fail "relaxed paxson arrival invalid"
-  done
-
 let test_source_fft_kernel () =
-  (* The FFT tier, like relaxed, is a different arithmetic over the
-     same innovation stream: same seed must track the exact tier up
-     to the rounding drift of the spectral reassociation (plus the
-     relaxed marginal transform it rides), and must itself be
+  (* The FFT tier is a different arithmetic over the same innovation
+     stream: same seed must track the exact tier up to the rounding
+     drift of the spectral reassociation (plus the erf-free marginal
+     transform it rides), and must itself be
      deterministic. Order 160 > one partition, n spanning several
      blocks, so the overlap-save path (not just the sequential
      warmup) is exercised. *)
@@ -660,22 +577,6 @@ let test_source_fft_kernel () =
     if abs_float (exact.(i) -. fft.(i)) > tol then
       Alcotest.failf "slot %d: exact %.17g vs fft %.17g" i exact.(i) fft.(i)
   done;
-  (* ~kernel supersedes ~precision; agreeing spellings coincide
-     bitwise, disagreeing ones refuse. *)
-  let relaxed_via_kernel =
-    take (Source.of_model ~order:160 ~kernel:`Relaxed m (Rng.create ~seed:4321))
-  in
-  let relaxed_via_precision =
-    take
-      (Source.of_model ~order:160 ~precision:`Relaxed ~kernel:`Relaxed m
-         (Rng.create ~seed:4321))
-  in
-  for i = 0 to n - 1 do
-    if bits relaxed_via_kernel.(i) <> bits relaxed_via_precision.(i) then
-      Alcotest.failf "~kernel:`Relaxed differs from agreeing ~precision at slot %d" i
-  done;
-  raises_invalid "precision/kernel disagree" (fun () ->
-      ignore (Source.of_model ~precision:`Relaxed ~kernel:`Fft m (Rng.create ~seed:1)));
   (* Composes with MPEG sources. *)
   let mp = Lazy.force small_mpeg in
   let s = Source.of_mpeg ~order:16 ~kernel:`Fft mp (Rng.create ~seed:4322) in
@@ -683,18 +584,6 @@ let test_source_fft_kernel () =
     let w, _ = Source.next s in
     if not (Float.is_finite w) || w < 0.0 then Alcotest.fail "fft mpeg arrival invalid"
   done
-
-let test_mux_is_kernel_refusal () =
-  let m = Lazy.force small_model in
-  let cfg kernel () =
-    ignore
-      (Mux_is.make_config ~model:m ~sources:2 ~order:24 ~kernel ~service:3.0 ~buffer:8.0
-         ~slots:64 ~twist:0.1 ())
-  in
-  raises_invalid "fft kernel refused by IS" (cfg `Fft);
-  raises_invalid "relaxed kernel refused by IS" (cfg `Relaxed);
-  (* The default tier still configures. *)
-  cfg `Exact ()
 
 let test_source_cache_stats_counters () =
   (* Counter contract on a capacity-1 cache: a repeated lookup is one
@@ -964,12 +853,18 @@ let test_mux_p2_quantiles_vs_exact_on_lrd_stream () =
   (* The P2 estimates reported by Mux.run must track the exact sorted
      quantiles of the very queue-length stream they were fed — here a
      long-range-dependent one collected through the probe. *)
-  let bg = Source.background_stream ~acf:(Acf.fgn ~h:0.75) ~order:64 (Rng.create ~seed:77) in
+  let slots = 30_000 in
+  let bg =
+    Hosking.generate_truncated ~acf:(Acf.fgn ~h:0.75) ~n:slots ~max_order:64
+      (Rng.create ~seed:77)
+  in
+  let i = ref 0 in
   let src =
     Source.make ~name:"lrd" ~mean:1.0 ~sigma2:1.0 ~hurst:0.75 (fun () ->
-        (Stdlib.max 0.0 (1.0 +. bg ()), 0))
+        let x = bg.(!i) in
+        incr i;
+        (Stdlib.max 0.0 (1.0 +. x), 0))
   in
-  let slots = 30_000 in
   let qs = Array.make slots 0.0 in
   let r =
     Mux.run
@@ -1578,30 +1473,108 @@ let test_mux_is_invalid () =
   raises_invalid "buffer" (fun () -> mk ~buffer:(-1.0) ());
   raises_invalid "slots" (fun () -> mk ~slots:0 ());
   raises_invalid "scales length" (fun () -> mk ~scales:[| 1.0 |] ());
-  (* The likelihood accumulator consumes per-step Hosking innovations,
-     so the materializing Davies-Harte backend must be refused up
-     front (this is what `vbrsim mux --is --backend davies-harte`
-     surfaces to the user). *)
-  raises_invalid "Davies-Harte backend refused" (fun () ->
-      let (_ : Mux_is.config) =
-        Mux_is.make_config ~model:m ~sources:2 ~backend:`Davies_harte ~service:3.0
-          ~buffer:5.0 ~slots:50 ~twist:0.0 ()
-      in
-      ());
-  (* Same refusal for the approximate Paxson backend: its circulant
-     synthesis is materialized whole, so there are no per-step
-     innovations for the likelihood accumulator either. *)
-  raises_invalid "Paxson backend refused" (fun () ->
-      let (_ : Mux_is.config) =
-        Mux_is.make_config ~model:m ~sources:2 ~backend:`Paxson ~service:3.0
-          ~buffer:5.0 ~slots:50 ~twist:0.0 ()
-      in
-      ());
   raises_invalid "bad replications" (fun () ->
       let (_ : Mc.estimate) =
         Mux_is.estimate (mux_is_small ()) ~replications:0 (Rng.create ~seed:1)
       in
       ())
+
+(* ------------------------------------------------------------------ *)
+(* Importance-sampling fixed-seed regressions                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Pins recorded from the per-slot closure generator that twisted
+   sources ran on before they moved onto Hosking.Block: the move must
+   not change a bit of the emitted arrivals, of the innovations the
+   probe sees, or of the replication results built on them. *)
+
+let digest_bits xs =
+  let b = Buffer.create (8 * Array.length xs) in
+  Array.iter (fun x -> Buffer.add_int64_le b (bits x)) xs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_hex name xs expected =
+  List.iter
+    (fun (i, hex) ->
+      let got = bits xs.(i) in
+      if got <> Int64.of_string ("0x" ^ hex) then
+        Alcotest.failf "%s[%d]: got %Lx, want %s" name i got hex)
+    expected
+
+let test_twisted_source_regression () =
+  let m = Lazy.force small_model in
+  let n = 600 in
+  let mk innov =
+    Source.of_model_twisted ~order:64
+      ~shift:(fun _ -> 0.3)
+      ~probe:(fun ~k ~innovation -> innov.(k) <- innovation)
+      m (Rng.create ~seed:2024)
+  in
+  let innov = Array.make n nan in
+  let s = mk innov in
+  let out = Array.init n (fun _ -> fst (Source.next s)) in
+  check_hex "out" out
+    [
+      (0, "40c1770000000000");
+      (1, "40bc837d818669a0");
+      (63, "40bb8f4ddf653e20");
+      (64, "40bd027c8737a0b3");
+      (65, "40bbba1044d91b55");
+      (299, "40b902292a6cbff9");
+      (599, "40b5b30000000000");
+    ];
+  check_hex "innovation" innov
+    [
+      (0, "3fcc78f7d71d5515");
+      (1, "bfd6fb844e69cac4");
+      (63, "3fca996228fb69bc");
+      (64, "3fb41ba4d03484eb");
+      (65, "bfb91d1a0a231b9b");
+      (299, "3fcbcdd348d41378");
+      (599, "bfcbe19985e519e2");
+    ];
+  Alcotest.(check string) "output digest" "31efffa451bdb69e9eaad49b4225bc61" (digest_bits out);
+  Alcotest.(check string) "innovation digest" "dc92ab75228e3c289202c0dc5e6896e8"
+    (digest_bits innov);
+  (* The block pull drains the same stream at any split. *)
+  List.iter
+    (fun bs ->
+      let innov' = Array.make n nan in
+      let s = mk innov' in
+      let wbuf = Array.make n nan and cbuf = Array.make n (-1) in
+      drain_blocks s bs wbuf cbuf n;
+      Alcotest.(check string)
+        (Printf.sprintf "block %d output digest" bs)
+        (digest_bits out) (digest_bits wbuf);
+      Alcotest.(check string)
+        (Printf.sprintf "block %d innovation digest" bs)
+        (digest_bits innov) (digest_bits innov'))
+    [ 7; 128; 600 ]
+
+let test_mux_is_replicate_regression () =
+  let m = Lazy.force small_model in
+  let n = 4 in
+  let mean = m.Ss_core.Model.mean in
+  let cfg =
+    Mux_is.make_config ~model:m ~sources:n ~order:24
+      ~service:(float_of_int n *. mean /. 0.75)
+      ~buffer:(8.0 *. mean) ~slots:150 ~twist:0.3 ()
+  in
+  let rng = Rng.create ~seed:2025 in
+  List.iteri
+    (fun i (hit, lw, stop) ->
+      let r = Mux_is.replicate cfg (Rng.split rng) in
+      Alcotest.(check bool) (Printf.sprintf "rep %d hit" i) hit r.Mux_is.hit;
+      Alcotest.(check int) (Printf.sprintf "rep %d stop slot" i) stop r.Mux_is.stop_slot;
+      check_hex (Printf.sprintf "rep %d log weight" i) [| r.Mux_is.log_weight |] [ (0, lw) ])
+    [
+      (true, "bff14679aa839448", 58);
+      (true, "bff249a6c206b63c", 10);
+      (true, "bfeac8acb6463cb1", 69);
+      (false, "fff0000000000000", 150);
+      (false, "fff0000000000000", 150);
+      (true, "bfe9ef4929a86724", 49);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                            *)
@@ -2036,7 +2009,7 @@ let () =
         [
           tc "of_array replay/cycle" test_source_of_array;
           tc "invalid" test_source_invalid;
-          tc "streaming = truncated Hosking" test_background_stream_matches_truncated_hosking;
+          tc "streaming = truncated Hosking" test_source_matches_truncated_hosking;
           tc "of_model streams" test_source_of_model_streams;
           tc "of_model clamps negatives" test_source_of_model_clamps_negatives;
           tc "table_for error prefix" test_source_table_for_error_prefix;
@@ -2047,10 +2020,7 @@ let () =
           tc "interleaved block/scalar" test_source_block_scalar_interleave_coherent;
           tc "Davies-Harte contract" test_source_dh_backend_contract;
           tc "Davies-Harte statistics" test_source_dh_backend_statistics;
-          tc "Paxson contract" test_source_paxson_backend_contract;
-          tc "relaxed precision tier" test_source_relaxed_precision;
           tc "fft kernel tier" test_source_fft_kernel;
-          tc "IS refuses fast-math kernels" test_mux_is_kernel_refusal;
           tc "cache stats counters" test_source_cache_stats_counters;
           tc "table cache LRU eviction" test_source_table_cache_lru_eviction;
           tc "table cache concurrent lookups" test_source_table_cache_concurrent_lookups;
@@ -2092,6 +2062,11 @@ let () =
           tc "pool bit-identical" test_mux_is_pool_bit_identical;
           tc "twist shortens first passage" test_mux_is_mean_stop_slot;
           tc "invalid" test_mux_is_invalid;
+        ] );
+      ( "is-golden",
+        [
+          tc "twisted source fixed-seed" test_twisted_source_regression;
+          tc "replicate fixed-seed" test_mux_is_replicate_regression;
         ] );
       ( "admission",
         [

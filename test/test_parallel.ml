@@ -440,7 +440,13 @@ let test_source_cache_keyed_structurally () =
         if k = 0 then 1.0 else exp (-.lambda *. float_of_int k))
   in
   let order = 24 in
-  let stream acf = Source.background_stream ~acf ~order (Rng.create ~seed:77) in
+  let stream acf =
+    let b = Hosking.Block.create ~table:(Source.table_for ~acf ~order) ~order () in
+    let rng = Rng.create ~seed:77 and x = [| 0.0 |] in
+    fun () ->
+      Hosking.Block.fill b rng x ~off:0 ~len:1;
+      x.(0)
+  in
   let a = stream (acf_of 0.05) in
   let b = stream (acf_of 1.5) in
   let differs = ref false in
