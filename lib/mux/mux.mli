@@ -81,7 +81,7 @@ type checkpoint = {
 (** Periodic crash-safe snapshot hook for {!run}. Snapshots are taken
     only at staging points where every source sits exactly at slot
     [t], so the captured state is consistent and independent of the
-    engine, block size, shard count and domain count: a run
+    block size, shard count and domain count: a run
     checkpointed under one configuration resumes bitwise under any
     other (enforced by test). *)
 
@@ -105,25 +105,30 @@ val run :
     empty) are the queue levels whose exceedance fractions the report
     records; [quantiles] (default [0.5; 0.9; 0.99]) are the P²
     levels; [probe] (for tests/tracing) is called after every slot
-    with the slot index and the updated queue length.
+    with the slot index and the updated queue length, last in the
+    slot's accounting order.
 
-    {b Sharded engine.} The sources are partitioned into [shards]
-    contiguous shards (default: the pool's domain count, or 1); each
-    shard advances all its sources one whole staged block of slots
-    through their block pulls and restages them slot-major, shards
-    synchronizing only at a coarse per-block barrier
-    ({!Ss_parallel.Barrier} — no per-slot or per-source cross-domain
-    traffic). The sequential admission loop then consumes each slot's
-    arrivals from one contiguous row. Results are {b bit-identical}
-    at any shard count, any domain count, and to {!run_reference}:
-    shards only choose which task pulls and restages a source's
-    block, while every floating-point reduction runs on the caller in
-    pinned source order. With [shards] larger than the source count,
-    the excess shards are empty (clamped). A [probe] needs the strict
-    per-slot lock-step of the reference engine (the importance
-    sampler stops runs mid-slot), so probed runs are delegated to
-    {!run_reference} verbatim; combining [probe] with an explicit
-    [shards > 1] raises [Invalid_argument].
+    {b One sharded engine.} The sources are partitioned into
+    [shards] contiguous shards (default: the pool's domain count, or
+    1); every run, probed or not, goes through the same engine body.
+    Each shard advances all its sources one
+    whole staged block of slots through their block pulls and
+    restages them slot-major, shards synchronizing only at a coarse
+    per-block barrier ({!Ss_parallel.Barrier} — no per-slot or
+    per-source cross-domain traffic). The sequential admission loop
+    then consumes each slot's arrivals from one contiguous row.
+    Results are {b bit-identical} at any shard count, any domain
+    count and any block size, and equal to a straight per-slot loop
+    over scalar {!Source.next} pulls: shards only choose which task
+    pulls and restages a source's block, while every floating-point
+    reduction runs on the caller in pinned source order. With
+    [shards] larger than the source count, the excess shards are
+    empty (clamped). A [probe] gets strict per-slot lock-step (the
+    importance sampler stops runs mid-slot by raising from it): a
+    probed run stages one slot per block on one shard, so when the
+    probe sees slot [t] no source has been pulled past [t], with or
+    without [pool]. Combining [probe] with an explicit [shards > 1]
+    raises [Invalid_argument].
 
     With [trajectory], a per-source service/delay trajectory is
     exported: after every slot the sink is called with [served.(i)] —
@@ -170,31 +175,6 @@ val run :
     ({!Source.supports_checkpoint}).
     @raise Ss_checkpoint.Corrupt when [resume] does not match the
     reconstructed run or is structurally invalid. *)
-
-val run_reference :
-  ?pool:Ss_parallel.Pool.t ->
-  ?buffer:float ->
-  ?thresholds:float list ->
-  ?quantiles:float list ->
-  ?probe:(int -> float -> unit) ->
-  ?police:Police.t ->
-  ?trajectory:(slot:int -> served:float array -> delays:float array -> unit) ->
-  ?checkpoint:checkpoint ->
-  ?resume:Ss_checkpoint.R.t ->
-  service:float ->
-  slots:int ->
-  Source.t array ->
-  report
-(** The pre-shard pooled-prefetch engine, kept verbatim: with [pool]
-    each source is one fan-out item per staged block (source-major
-    staging, the admission loop striding across it), every source
-    still seeing one pull per slot in slot order. This is the
-    bit-identity oracle the sharded {!run} is tested against and the
-    baseline its speedup is benchmarked from; the two agree bitwise
-    on every field of the report for identical inputs. Prefer {!run}
-    everywhere else — the reference engine's per-slot strided reads
-    and per-source fan-out items are exactly what the sharded engine
-    exists to remove. Raises as {!run} (minus [shards]). *)
 
 val equal_report : report -> report -> bool
 (** Bitwise report equality: every float field (including nested

@@ -722,7 +722,8 @@ let test_mux_checkpoint_refusals () =
   raises_invalid "interval < 1" (fun () ->
       let ck = { Mux.every = 0; save = (fun ~slot:_ _ -> ()) } in
       run_mux ~checkpoint:ck ());
-  (* A probe forces the reference engine, which cannot snapshot. *)
+  (* A probed run stages one slot at a time in strict lock-step and
+     never snapshots. *)
   raises_invalid "probe + checkpoint" (fun () ->
       let ck, _, _ = capture_hook 256 in
       let srcs = mux_sources () in
@@ -741,6 +742,69 @@ let test_mux_checkpoint_refusals () =
   ignore (run_mux ~checkpoint:ck () : Mux.report);
   raises_corrupt ~contains:"service" "service mismatch on resume" (fun () ->
       run_mux ~service:2.3 ~resume:(reader (Option.get !first)) ())
+
+(* A hand-written "mux-engine" snapshot of a 1-source, 1-threshold,
+   1-quantile [of_array] run at slot [t]: every field is well framed
+   and CRC-valid, so restore must judge the values themselves. *)
+let test_corrupt_mux_engine () =
+  let slots = 32 and service = 2.0 and t = 8 in
+  let mk () = [| Source.of_array ~name:"a" ~cycle:true [| 1.0; 3.0; 2.0 |] |] in
+  let payload ~departed ~departed_at ~corrupt ~hits ~q ~served w =
+    W.tag w "mux-engine";
+    W.int w t;
+    W.int w 1;
+    W.int w slots;
+    W.float w service;
+    W.float w infinity;
+    W.int w 1;
+    W.int w 1;
+    W.bool w false;
+    W.bool w false;
+    W.bool w departed;
+    W.int_array w [| departed_at |];
+    List.iter (fun _ -> W.float_array w [| 0.0 |]) [ "offered"; "admitted"; "lost"; "peak" ];
+    W.int_array w [| corrupt |];
+    W.float_array w [| 0.0 |];
+    W.float_array w [| 0.0 |];
+    W.float w q;
+    W.float w served;
+    Online.save (Online.create ()) w;
+    Online.P2.save (Online.P2.create ~p:0.5) w;
+    Online.P2.save (Online.P2.create ~p:0.5) w;
+    W.int w (-1);
+    W.float_array w (Array.make 64 0.0);
+    W.int_array w [| hits |];
+    W.tag w "mux-sources";
+    Source.save (mk ()).(0) w
+  in
+  let resume ?(departed = false) ?(departed_at = -1) ?(corrupt = 0) ?(hits = 0) ?(q = 0.0)
+      ?(served = 0.0) () =
+    Mux.run ~thresholds:[ 1.0 ] ~quantiles:[ 0.5 ] ~service ~slots
+      ~resume:(framed (payload ~departed ~departed_at ~corrupt ~hits ~q ~served))
+      (mk ())
+  in
+  (* The well-formed extremes restore. *)
+  List.iter
+    (fun f -> ignore (f () : Mux.report))
+    [
+      (fun () -> resume ());
+      (fun () -> resume ~departed:true ~departed_at:t ~corrupt:t ~hits:t ~q:5.0 ~served:9.0 ());
+      (fun () -> resume ~departed:true ~departed_at:0 ());
+    ];
+  let refuse field name f = raises_corrupt ~contains:field name (fun () -> f ()) in
+  refuse "departed flag" "flag without a slot" (resume ~departed:true ~departed_at:(-1));
+  refuse "departed flag" "slot without a flag" (resume ~departed_at:3);
+  refuse "departure slot" "departure after the snapshot"
+    (resume ~departed:true ~departed_at:(t + 1));
+  refuse "departure slot" "departure slot below -1" (resume ~departed_at:(-2));
+  refuse "corrupt count" "negative corrupt count" (resume ~corrupt:(-1));
+  refuse "corrupt count" "corrupt count past the slot" (resume ~corrupt:(t + 1));
+  refuse "threshold hit count" "negative threshold hits" (resume ~hits:(-1));
+  refuse "threshold hit count" "threshold hits past the slot" (resume ~hits:(t + 1));
+  refuse "queue" "NaN queue" (resume ~q:nan);
+  refuse "queue" "negative queue" (resume ~q:(-1.0));
+  refuse "served" "NaN served" (resume ~served:nan);
+  refuse "served" "negative served" (resume ~served:(-0.5))
 
 let prop_mux_snapshot_resume =
   QCheck.Test.make ~name:"mux snapshot -> restore -> bitwise-equal report" ~count:15
@@ -974,6 +1038,7 @@ let () =
           tc "shard/domain invariance" test_mux_resume_shard_and_domain_invariant;
           tc "fft kernel resume == uninterrupted" test_mux_fft_resume_identity;
           tc "refusals" test_mux_checkpoint_refusals;
+          tc "engine bad counters" test_corrupt_mux_engine;
         ] );
       ( "abr",
         [

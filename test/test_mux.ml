@@ -673,6 +673,177 @@ let test_source_table_cache_concurrent_lookups () =
       Alcotest.(check int) "two more entries" (len0 + 3) (Source.table_cache_length ()))
 
 (* ------------------------------------------------------------------ *)
+(* Mux specification: the straight-line bit-identity oracle             *)
+(* ------------------------------------------------------------------ *)
+
+(* The multiplexer stated once, slot by slot: no pool, no staging, no
+   checkpoint — one loop that pulls every source with scalar
+   [Source.next] ([End_of_stream] means the source departs at slot
+   [t]) and runs the accounting in its documented order: corrupt ->
+   police (observe, cap, demote, evict) -> class admission -> Lindley
+   -> class replay -> trajectory -> P2 -> thresholds -> probe. It
+   shares no block, transpose or shard code with [Mux.run], so the
+   engine must equal it bitwise at every layout. *)
+let spec_run ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ]) ?probe
+    ?police ?trajectory ~service ~slots (sources : Source.t array) =
+  let n = Array.length sources and nc = 64 in
+  let fmin (a : float) b = if a <= b then a else b in
+  let fmax (a : float) b = if a >= b then a else b in
+  let p2s () = List.map (fun p -> (p, Online.P2.create ~p)) quantiles in
+  let departed_at = Array.make n (-1) and corrupt = Array.make n 0 in
+  let offered = Array.make n 0.0 and admitted = Array.make n 0.0 and lost = Array.make n 0.0 in
+  let peak = Array.make n 0.0 and throttled = Array.make n 0.0 in
+  let discarded = Array.make n 0.0 in
+  let works = Array.make n 0.0 and classes = Array.make n 0 and adm = Array.make n 0.0 in
+  let q = ref 0.0 and served = ref 0.0 and top = ref (-1) in
+  let queue_stats = Online.create () and q_p2 = p2s () and d_p2 = p2s () in
+  let backlog = Array.make nc 0.0 and class_p2 = Array.make nc [] in
+  let cells = Array.make_matrix nc n 0.0 (* per-(class, source) backlog *) in
+  let traj_served = Array.make n 0.0 and traj_delay = Array.make n 0.0 in
+  let hits = Array.make (List.length thresholds) 0 in
+  for t = 0 to slots - 1 do
+    for i = 0 to n - 1 do
+      let w0, c =
+        if departed_at.(i) >= 0 then (0.0, 0)
+        else
+          try Source.next sources.(i)
+          with Source.End_of_stream ->
+            departed_at.(i) <- t;
+            (0.0, 0)
+      in
+      (* Corrupt work is zeroed and counted. *)
+      let bad = Float.is_nan w0 || w0 < 0.0 || w0 = infinity in
+      if bad then begin
+        corrupt.(i) <- corrupt.(i) + 1;
+        Option.iter (fun p -> Police.note_corrupt p ~slot:t i) police
+      end;
+      let w = if bad then 0.0 else w0 in
+      (* The policer judges the offered work, then caps, demotes or
+         discards it. *)
+      let w, c =
+        match police with
+        | None -> (w, c)
+        | Some p when Police.evicted p i ->
+          discarded.(i) <- discarded.(i) +. w;
+          (0.0, c)
+        | Some p ->
+          if not bad then Police.observe p ~slot:t i w;
+          let cap = Police.cap p i in
+          let w = if w > cap then (throttled.(i) <- throttled.(i) +. (w -. cap); cap) else w in
+          (w, Stdlib.min (nc - 1) (c + Police.demotion p i))
+      in
+      works.(i) <- w;
+      classes.(i) <- c;
+      offered.(i) <- offered.(i) +. w;
+      if w > peak.(i) then peak.(i) <- w
+    done;
+    (* A class's delay estimators exist from the first slot it appears. *)
+    let max_class = Array.fold_left Stdlib.max 0 classes in
+    for c = !top + 1 to max_class do
+      class_p2.(c) <- p2s ()
+    done;
+    top := Stdlib.max !top max_class;
+    (* Class admission in strict priority order: the slot's service
+       frees room for its own arrivals, and a class that does not fit
+       shares the remaining room in proportion to offered work. *)
+    let class_adm = Array.make nc 0.0 and scale = Array.make nc 1.0 in
+    Array.iteri (fun i w -> class_adm.(classes.(i)) <- class_adm.(classes.(i)) +. w) works;
+    if buffer < infinity then begin
+      let room = ref (fmax 0.0 (buffer +. service -. !q)) in
+      for c = 0 to max_class do
+        let s = class_adm.(c) in
+        scale.(c) <- (if s <= 0.0 then 0.0 else if s <= !room then 1.0 else !room /. s);
+        room := fmax 0.0 (!room -. (s *. scale.(c)));
+        class_adm.(c) <- s *. scale.(c)
+      done
+    end;
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      adm.(i) <- works.(i) *. scale.(classes.(i));
+      total := !total +. adm.(i);
+      admitted.(i) <- admitted.(i) +. adm.(i);
+      lost.(i) <- lost.(i) +. (works.(i) -. adm.(i))
+    done;
+    (* Lindley. *)
+    served := !served +. fmin service (!q +. !total);
+    q := fmax 0.0 (!q +. !total -. service);
+    (* Class replay: arrivals, then strict-priority service; each
+       class's served work is split over its sources' backlog cells in
+       proportion to their share. *)
+    Array.fill traj_served 0 n 0.0;
+    Array.iteri (fun i a -> cells.(classes.(i)).(i) <- cells.(classes.(i)).(i) +. a) adm;
+    let rem = ref service in
+    for c = 0 to !top do
+      let b = backlog.(c) +. class_adm.(c) in
+      let take = fmin !rem b in
+      backlog.(c) <- b -. take;
+      rem := !rem -. take;
+      if take > 0.0 then
+        Array.iteri
+          (fun i v ->
+            if v > 0.0 then begin
+              let s = v *. (take /. b) in
+              traj_served.(i) <- traj_served.(i) +. s;
+              cells.(c).(i) <- v -. s
+            end)
+          cells.(c)
+    done;
+    let prefix = Array.make nc 0.0 in
+    for c = 0 to !top do
+      prefix.(c) <- (if c = 0 then 0.0 else prefix.(c - 1)) +. backlog.(c)
+    done;
+    (* Trajectory: a source's delay is the backlog at or above its
+       class over service. *)
+    Option.iter
+      (fun f ->
+        Array.iteri (fun i c -> traj_delay.(i) <- prefix.(c) /. service) classes;
+        f ~slot:t ~served:traj_served ~delays:traj_delay)
+      trajectory;
+    (* P2 estimators, threshold counters, probe. *)
+    for c = 0 to !top do
+      List.iter (fun (_, e) -> Online.P2.add e (prefix.(c) /. service)) class_p2.(c)
+    done;
+    Online.add queue_stats !q;
+    List.iter (fun (_, e) -> Online.P2.add e !q) q_p2;
+    List.iter (fun (_, e) -> Online.P2.add e (!q /. service)) d_p2;
+    List.iteri (fun j b -> if !q > b then hits.(j) <- hits.(j) + 1) thresholds;
+    Option.iter (fun f -> f t !q) probe
+  done;
+  let fslots = float_of_int slots in
+  let quants = List.map (fun (p, e) -> (p, Online.P2.quantile e)) in
+  let total_offered = Array.fold_left ( +. ) 0.0 offered in
+  {
+    Mux.slots;
+    service;
+    buffer;
+    offered_utilization = total_offered /. fslots /. service;
+    carried_utilization = !served /. (service *. fslots);
+    loss_fraction =
+      (if total_offered > 0.0 then Array.fold_left ( +. ) 0.0 lost /. total_offered else 0.0);
+    mean_queue = Online.mean queue_stats;
+    max_queue = Online.max queue_stats;
+    queue_quantiles = quants q_p2;
+    delay_quantiles = quants d_p2;
+    class_delay_quantiles = List.init (!top + 1) (fun c -> (c, quants class_p2.(c)));
+    overflow = List.mapi (fun j b -> (b, float_of_int hits.(j) /. fslots)) thresholds;
+    per_source =
+      Array.init n (fun i ->
+          {
+            Mux.name = sources.(i).Source.name;
+            offered = offered.(i);
+            admitted = admitted.(i);
+            lost = lost.(i);
+            loss_fraction = (if offered.(i) > 0.0 then lost.(i) /. offered.(i) else 0.0);
+            mean_rate = offered.(i) /. fslots;
+            peak_rate = peak.(i);
+            corrupt_slots = corrupt.(i);
+            throttled = throttled.(i);
+            discarded = discarded.(i);
+            departed_at = (if departed_at.(i) < 0 then None else Some departed_at.(i));
+          });
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Mux                                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -771,7 +942,7 @@ let test_mux_zero_buffer_semantics () =
      every slot loses exactly [max 0 (offered - service)], the queue
      stays pinned at zero, and per-source loss follows the fluid
      proportional split. Pinned against hand-computed totals and the
-     reference engine so the sharded path cannot drift. *)
+     straight-line specification so the engine cannot drift. *)
   let a0 = [| 1.0; 3.0; 0.5; 2.0; 0.0; 4.0 |] in
   let a1 = [| 0.5; 1.0; 2.5; 0.0; 1.0; 2.0 |] in
   let slots = Array.length a0 in
@@ -801,17 +972,35 @@ let test_mux_zero_buffer_semantics () =
   (* Work conservation survives the boundary. *)
   close ~eps:1e-12 "conservation s0" s0.Mux.offered (s0.Mux.admitted +. s0.Mux.lost);
   close ~eps:1e-12 "conservation s1" s1.Mux.offered (s1.Mux.admitted +. s1.Mux.lost);
-  (* Sharded engine and reference engine agree bitwise at the
-     boundary, at every shard count. *)
-  let reference = Mux.run_reference ~buffer:0.0 ~service ~slots (mk ()) in
-  if not (Mux.equal_report reference r) then
-    Alcotest.fail "zero-buffer: default run differs from reference";
+  (* The engine equals the specification bitwise at the boundary, at
+     every shard count. *)
+  let spec = spec_run ~buffer:0.0 ~service ~slots (mk ()) in
+  if not (Mux.equal_report spec r) then
+    Alcotest.fail "zero-buffer: default run differs from the specification";
   List.iter
     (fun shards ->
       let sharded = Mux.run ~shards ~buffer:0.0 ~service ~slots (mk ()) in
-      if not (Mux.equal_report reference sharded) then
-        Alcotest.failf "zero-buffer: %d-shard run differs from reference" shards)
-    [ 1; 2; 3 ]
+      if not (Mux.equal_report spec sharded) then
+        Alcotest.failf "zero-buffer: %d-shard run differs from the specification" shards)
+    [ 1; 2; 3 ];
+  (* Two classes at the boundary. The class-0 offer rounds past the
+     room (4.151 * (3.0 /. 4.151) > 3.0), so the room left for class 1
+     must clamp at zero rather than go negative; class 1 is listed
+     first so its admission is the first term of the slot's sum. *)
+  let mk2 () =
+    [|
+      Source.make ~name:"lo" ~mean:0.25 ~sigma2:0.0 ~hurst:0.5 (fun () -> (0.25, 1));
+      Source.of_array ~name:"hi" ~cycle:true [| 4.151; 1.0; 4.212; 2.0 |];
+    |]
+  in
+  let spec = spec_run ~buffer:0.0 ~service:3.0 ~slots:8 (mk2 ()) in
+  List.iter
+    (fun shards ->
+      let r = Mux.run ~shards ~buffer:0.0 ~service:3.0 ~slots:8 (mk2 ()) in
+      if not (Mux.equal_report spec r) then
+        Alcotest.failf "zero-buffer, 2 classes: %d-shard run differs from the specification"
+          shards)
+    [ 1; 2 ]
 
 let test_mux_overflow_curve_monotone () =
   let rng = Rng.create ~seed:54 in
@@ -1186,9 +1375,10 @@ let test_mux_hot_loop_allocation () =
      (well under 1 on a non-flambda build). *)
   let arr = Array.init 96 (fun i -> float_of_int (1 + (i mod 7))) in
   let mk () = Source.of_array ~cycle:true arr in
-  let measure ?shards sources =
+  let measure ?pool ?shards ?probe sources =
     let run slots =
-      Mux.run ?shards ~quantiles:[] ~service:(3.0 *. float_of_int (Array.length sources))
+      Mux.run ?pool ?shards ?probe ~quantiles:[]
+        ~service:(3.0 *. float_of_int (Array.length sources))
         ~slots sources
     in
     let (_ : Mux.report) = run 1024 in
@@ -1211,7 +1401,25 @@ let test_mux_hot_loop_allocation () =
   (* Splitting the staging across shards may not reintroduce per-slot
      allocation either: shard state is per-run, blocks amortize. *)
   if sharded -. three > 1.0 then
-    Alcotest.failf "sharding allocates per slot: %.2f vs %.2f words/slot" sharded three
+    Alcotest.failf "sharding allocates per slot: %.2f vs %.2f words/slot" sharded three;
+  (* A probed run stages one slot per block through the barrier, with
+     and without a pool. Passing the queue level to the probe closure
+     boxes one float (~2 words/slot over the unprobed run); the
+     per-slot staging may add nothing beyond noise. *)
+  let probe _ q = if q < 0.0 then Alcotest.fail "negative queue" in
+  let probed = measure ~probe [| mk (); mk (); mk () |] in
+  let pool = Pool.create ~domains:4 in
+  let pooled =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> measure ~pool ~probe [| mk (); mk (); mk () |])
+  in
+  if probed > 10.0 then
+    Alcotest.failf "probed Mux.run allocates %.2f minor words per slot" probed;
+  if probed -. three > 3.0 then
+    Alcotest.failf "1-slot staging allocates per slot: %.2f vs %.2f words/slot" probed three;
+  if pooled -. probed > 1.0 then
+    Alcotest.failf "pooled probed run allocates per slot: %.2f vs %.2f words/slot" pooled probed
 
 (* ------------------------------------------------------------------ *)
 (* Sharded engine: bit-identity across shard counts                     *)
@@ -1251,8 +1459,8 @@ let shard_sources ~n ~seed =
       | _ -> Source.of_array ~name ~cycle:true arr)
 
 let test_mux_sharded_bit_identity () =
-  (* The sharded engine must reproduce the reference engine bitwise at
-     every shard count — including counts that do not divide the
+  (* The engine must reproduce the straight-line specification bitwise
+     at every shard count — including counts that do not divide the
      source count — on a finite buffer with thresholds, departures,
      corrupt slots and several priority classes in play. *)
   List.iter
@@ -1261,9 +1469,8 @@ let test_mux_sharded_bit_identity () =
       let service = 1.1 *. float_of_int n in
       let buffer = 4.0 *. float_of_int n in
       let thresholds = [ 0.0; 1.0; 0.5 *. float_of_int n ] in
-      let reference =
-        Mux.run_reference ~buffer ~thresholds ~service ~slots
-          (shard_sources ~n ~seed:(1000 + n))
+      let spec =
+        spec_run ~buffer ~thresholds ~service ~slots (shard_sources ~n ~seed:(1000 + n))
       in
       List.iter
         (fun shards ->
@@ -1271,19 +1478,19 @@ let test_mux_sharded_bit_identity () =
             Mux.run ~shards ~buffer ~thresholds ~service ~slots
               (shard_sources ~n ~seed:(1000 + n))
           in
-          if not (Mux.equal_report reference r) then
-            Alcotest.failf "n=%d shards=%d differs from the reference engine" n shards)
+          if not (Mux.equal_report spec r) then
+            Alcotest.failf "n=%d shards=%d differs from the specification" n shards)
         [ 1; 2; 4; 7 ])
     [ 5; 64; 513 ]
 
 let test_mux_sharded_pool_bit_identity () =
   (* Shards dispatched over a real domain pool: still bitwise equal to
-     the sequential reference engine, at divisible and non-divisible
-     shard counts and at the default shard count (the pool size). *)
+     the specification, at divisible and non-divisible shard counts
+     and at the default shard count (the pool size). *)
   let n = 64 and slots = 400 in
   let service = 1.05 *. float_of_int n and buffer = 5.0 *. float_of_int n in
   let mk () = shard_sources ~n ~seed:7064 in
-  let reference = Mux.run_reference ~buffer ~service ~slots (mk ()) in
+  let spec = spec_run ~buffer ~service ~slots (mk ()) in
   let pool = Pool.create ~domains:4 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
@@ -1291,15 +1498,16 @@ let test_mux_sharded_pool_bit_identity () =
       List.iter
         (fun shards ->
           let r = Mux.run ~pool ?shards ~buffer ~service ~slots (mk ()) in
-          if not (Mux.equal_report reference r) then
-            Alcotest.failf "pooled shards=%s differs from the reference engine"
+          if not (Mux.equal_report spec r) then
+            Alcotest.failf "pooled shards=%s differs from the specification"
               (match shards with Some s -> string_of_int s | None -> "default"))
         [ None; Some 2; Some 7 ])
 
 let test_mux_sharded_police_fault_identity () =
   (* Policing and fault injection run on the central sequential loop,
      so they compose with sharding bit-identically: the whole report
-     of a policed, fault-injected run is shard-count-invariant. *)
+     of a policed, fault-injected run equals the specification's at
+     every shard count. *)
   let n = 64 and slots = 2048 in
   let service = 1.02 *. float_of_int n and buffer = 3.0 *. float_of_int n in
   let spec =
@@ -1316,67 +1524,108 @@ let test_mux_sharded_police_fault_identity () =
     in
     let p = Police.create ~config (Array.map Admission.descr_of_source srcs) in
     match shards with
-    | None -> Mux.run_reference ~police:p ~buffer ~service ~slots srcs
+    | None -> spec_run ~police:p ~buffer ~service ~slots srcs
     | Some s -> Mux.run ~shards:s ~police:p ~buffer ~service ~slots srcs
   in
   let reference = run None in
   List.iter
     (fun s ->
       if not (Mux.equal_report reference (run (Some s))) then
-        Alcotest.failf "policed faulted run differs at shards=%d" s)
+        Alcotest.failf "policed faulted run differs from the specification at shards=%d" s)
     [ 1; 4; 7 ]
 
 let test_mux_sharded_trajectory_identity () =
   (* The trajectory export runs on the central loop over the staged
-     rows: identical per-slot served/delay vectors at any shard
-     count. *)
+     rows: the specification's per-slot served/delay vectors at any
+     shard count. *)
   let n = 9 and slots = 500 in
   let service = 1.2 *. float_of_int n in
-  let capture shards =
+  let capture run =
     let rows = ref [] in
     let sink ~slot ~served ~delays =
       rows := (slot, Array.copy served, Array.copy delays) :: !rows
     in
-    let r = Mux.run ~shards ~trajectory:sink ~service ~slots (shard_sources ~n ~seed:900) in
+    let r = run sink (shard_sources ~n ~seed:900) in
     (r, List.rev !rows)
   in
-  let r1, t1 = capture 1 in
-  let r4, t4 = capture 4 in
-  if not (Mux.equal_report r1 r4) then Alcotest.fail "trajectory run reports differ";
-  Alcotest.(check int) "every slot exported" slots (List.length t1);
-  List.iter2
-    (fun (s1, w1, d1) (s4, w4, d4) ->
-      Alcotest.(check int) "slot order" s1 s4;
-      Array.iteri
-        (fun i v ->
-          if bits v <> bits w4.(i) then Alcotest.failf "served differs, slot %d source %d" s1 i)
-        w1;
-      Array.iteri
-        (fun i v ->
-          if bits v <> bits d4.(i) then Alcotest.failf "delay differs, slot %d source %d" s1 i)
-        d1)
-    t1 t4
+  let rs, ts = capture (fun trajectory srcs -> spec_run ~trajectory ~service ~slots srcs) in
+  Alcotest.(check int) "every slot exported" slots (List.length ts);
+  List.iter
+    (fun shards ->
+      let r, t =
+        capture (fun trajectory srcs -> Mux.run ~shards ~trajectory ~service ~slots srcs)
+      in
+      if not (Mux.equal_report rs r) then
+        Alcotest.failf "trajectory run report differs from the specification at shards=%d"
+          shards;
+      Alcotest.(check int) "every slot exported" slots (List.length t);
+      List.iter2
+        (fun (s1, w1, d1) (s2, w2, d2) ->
+          Alcotest.(check int) "slot order" s1 s2;
+          Array.iteri
+            (fun i v ->
+              if bits v <> bits w2.(i) then
+                Alcotest.failf "shards=%d: served differs, slot %d source %d" shards s1 i)
+            w1;
+          Array.iteri
+            (fun i v ->
+              if bits v <> bits d2.(i) then
+                Alcotest.failf "shards=%d: delay differs, slot %d source %d" shards s1 i)
+            d1)
+        ts t)
+    [ 1; 4 ]
 
 let test_mux_sharded_probe_dispatch () =
-  (* A probe needs the reference engine's strict per-slot lock-step
-     (the importance sampler stops runs mid-slot), so probed runs
-     delegate to it and an explicit multi-shard request is refused. *)
+  (* A probed run gets strict per-slot lock-step (the importance
+     sampler stops runs mid-slot): the probe sees the specification's
+     queue path and the report is the specification's, while an
+     explicit multi-shard request is refused. *)
   let mk () = shard_sources ~n:5 ~seed:800 in
-  let service = 6.0 and slots = 200 in
-  let path_ref = Array.make slots 0.0 and path_run = Array.make slots 0.0 in
-  let r_ref =
-    Mux.run_reference ~probe:(fun t q -> path_ref.(t) <- q) ~service ~slots (mk ())
+  let service = 6.0 and slots = 200 and buffer = 30.0 and thresholds = [ 1.0; 8.0 ] in
+  let path_spec = Array.make slots nan and path_run = Array.make slots nan in
+  let r_spec =
+    spec_run ~probe:(fun t q -> path_spec.(t) <- q) ~buffer ~thresholds ~service ~slots (mk ())
   in
-  let r_run = Mux.run ~probe:(fun t q -> path_run.(t) <- q) ~service ~slots (mk ()) in
-  if not (Mux.equal_report r_ref r_run) then
-    Alcotest.fail "probed run differs from the reference engine";
+  let r_run =
+    Mux.run ~probe:(fun t q -> path_run.(t) <- q) ~buffer ~thresholds ~service ~slots (mk ())
+  in
+  if not (Mux.equal_report r_spec r_run) then
+    Alcotest.fail "probed run differs from the specification";
   Array.iteri
     (fun t q -> if bits q <> bits path_run.(t) then Alcotest.failf "probe path slot %d" t)
-    path_ref;
+    path_spec;
   raises_invalid "probe + shards > 1" (fun () ->
       ignore (Mux.run ~shards:2 ~probe:(fun _ _ -> ()) ~service ~slots (mk ())));
   raises_invalid "shards < 1" (fun () ->
       ignore (Mux.run ~shards:0 ~service ~slots (mk ())))
+
+exception Stop_at of int
+
+let test_mux_probe_pool_lock_step () =
+  (* A probe that raises at slot t must leave every source pulled
+     exactly t + 1 slots, even with a multi-domain pool (whose default
+     shard count would otherwise stage a long block ahead). *)
+  let n = 6 and stop = 10 in
+  let pulls = Array.make n 0 in
+  let srcs =
+    Array.init n (fun i ->
+        Source.make ~name:(Printf.sprintf "c%d" i) ~mean:1.0 ~sigma2:0.0 ~hurst:0.5 (fun () ->
+            pulls.(i) <- pulls.(i) + 1;
+            (1.0, 0)))
+  in
+  let pool = Pool.create ~domains:4 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      match
+        Mux.run ~pool ~probe:(fun t _ -> if t = stop then raise (Stop_at t)) ~service:8.0
+          ~slots:1000 srcs
+      with
+      | (_ : Mux.report) -> Alcotest.fail "probe did not stop the run"
+      | exception Stop_at t -> Alcotest.(check int) "stopped at" stop t);
+  Array.iteri
+    (fun i k -> Alcotest.(check int) (Printf.sprintf "source %d pulls" i) (stop + 1) k)
+    pulls
 
 (* ------------------------------------------------------------------ *)
 (* Mux_is: importance-sampled shared-buffer overflow                    *)
@@ -2053,6 +2302,7 @@ let () =
           tc "sharded + police + faults identical" test_mux_sharded_police_fault_identity;
           tc "sharded trajectory identical" test_mux_sharded_trajectory_identity;
           tc "probe dispatch / refusal" test_mux_sharded_probe_dispatch;
+          tc "probe lock-step over pool" test_mux_probe_pool_lock_step;
         ] );
       ( "mux-is",
         [
