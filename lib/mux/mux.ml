@@ -377,20 +377,30 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   let cbuf = Array.make (sstride * n) 0 in
   let wrow = Array.make (block * rstride) 0.0 in
   let crow = Array.make (block * rstride) 0 in
-  let fill_source t0 bs i =
-    let off = i * sstride in
-    if departed.(i) then begin
-      Array.fill wbuf off bs 0.0;
-      Array.fill cbuf off bs 0
-    end
-    else
-      let f = Source.next_block sources.(i) wbuf cbuf ~off ~len:bs in
-      if f < bs then begin
-        departed.(i) <- true;
-        departed_at.(i) <- t0 + f;
-        Array.fill wbuf (off + f) (bs - f) 0.0;
-        Array.fill cbuf (off + f) (bs - f) 0
+  (* Pull sources [i0, i1) in one [Source.next_blocks] call (exact
+     model sources run there as lock-step lanes), then zero what
+     departed sources leave unstaged. [departed] is read by the call
+     and updated only after it, so a source departing in this block
+     is staged up to its short count. *)
+  let filled = Array.make n 0 in
+  let fill_sources t0 bs i0 i1 =
+    Source.next_blocks sources ~skip:departed ~lo:i0 ~hi:i1 wbuf cbuf ~stride:sstride ~len:bs
+      ~filled;
+    for i = i0 to i1 - 1 do
+      let off = i * sstride in
+      if departed.(i) then begin
+        Array.fill wbuf off bs 0.0;
+        Array.fill cbuf off bs 0
       end
+      else
+        let f = filled.(i) in
+        if f < bs then begin
+          departed.(i) <- true;
+          departed_at.(i) <- t0 + f;
+          Array.fill wbuf (off + f) (bs - f) 0.0;
+          Array.fill cbuf (off + f) (bs - f) 0
+        end
+    done
   in
   let shard_lo = Array.init (nshards + 1) (fun s -> s * n / nshards) in
   let cur_t0 = ref 0 in
@@ -424,9 +434,7 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
     let i0 = ref lo in
     while !i0 < hi do
       let i1 = Stdlib.min hi (!i0 + tile) in
-      for i = !i0 to i1 - 1 do
-        fill_source t0 bs i
-      done;
+      fill_sources t0 bs !i0 i1;
       for i = !i0 to i1 - 1 do
         let off = i * sstride in
         let z = ref true in

@@ -112,7 +112,12 @@ val run :
     [shards] contiguous shards (default: the pool's domain count, or
     1); every run, probed or not, goes through the same engine body.
     Each shard advances all its sources one
-    whole staged block of slots through their block pulls and
+    whole staged block of slots through their block pulls, 32 sources
+    at a time through one {!Source.next_blocks} call — so exact
+    [`Hosking] {!Source.of_model} sources of one tile run as
+    lock-step lane groups of four, while every other source,
+    including any source wrapped through {!Source.make} (fault
+    injection, timing wrappers), is pulled on its own — and
     restages them slot-major, shards synchronizing only at a coarse
     per-block barrier ({!Ss_parallel.Barrier} — no per-slot or
     per-source cross-domain traffic). The sequential admission loop

@@ -2,16 +2,24 @@
    from the polar method is stored in the state so that [copy] and
    [split] preserve reproducibility. *)
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-  mutable gauss_cache : float;
-  mutable gauss_full : bool;
-}
+(* The four xoshiro words live unboxed in a 40-byte [Bytes]: words
+   0..3 at byte offsets 0, 8, 16, 24 and the cached polar deviate's
+   bits at 32. Reading and writing them through the unchecked 64-bit
+   accessors keeps every intermediate an untagged register value, so a
+   step allocates nothing (mutable [int64] record fields box a fresh
+   word on every store). *)
+type t = { st : Bytes.t; mutable gauss_full : bool }
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let state_bytes = 40
+let cache_off = 32
+
+let[@inline] gauss_cache t = Int64.float_of_bits (get64u t.st cache_off)
+let[@inline] set_gauss_cache t x = set64u t.st cache_off (Int64.bits_of_float x)
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64 step: returns next output and updated state. *)
 let splitmix64 st =
@@ -24,61 +32,59 @@ let splitmix64 st =
 let all_zero s0 s1 s2 s3 =
   Int64.equal s0 0L && Int64.equal s1 0L && Int64.equal s2 0L && Int64.equal s3 0L
 
-let create ~seed =
-  let st = Int64.of_int seed in
+let of_words s0 s1 s2 s3 =
+  let st = Bytes.make state_bytes '\000' in
+  set64u st 0 s0;
+  set64u st 8 s1;
+  set64u st 16 s2;
+  set64u st 24 s3;
+  { st; gauss_full = false }
+
+(* Four splitmix64 outputs from [st]; an all-zero xoshiro state is
+   absorbing, so it is replaced (splitmix64 output of a fixed walk is
+   never all-zero in practice, but guard anyway). *)
+let of_splitmix st =
   let s0, st = splitmix64 st in
   let s1, st = splitmix64 st in
   let s2, st = splitmix64 st in
   let s3, _ = splitmix64 st in
-  (* splitmix64 output of a fixed walk is never all-zero in practice,
-     but guard anyway: an all-zero xoshiro state is absorbing. *)
   let s3 = if all_zero s0 s1 s2 s3 then 1L else s3 in
-  { s0; s1; s2; s3; gauss_cache = 0.0; gauss_full = false }
+  of_words s0 s1 s2 s3
+
+let create ~seed = of_splitmix (Int64.of_int seed)
 
 let of_state a =
   if Array.length a <> 4 then invalid_arg "Rng.of_state: need 4 words";
   if all_zero a.(0) a.(1) a.(2) a.(3) then invalid_arg "Rng.of_state: all-zero state";
-  { s0 = a.(0); s1 = a.(1); s2 = a.(2); s3 = a.(3); gauss_cache = 0.0; gauss_full = false }
+  of_words a.(0) a.(1) a.(2) a.(3)
 
 let copy_into ~src ~dst =
-  dst.s0 <- src.s0;
-  dst.s1 <- src.s1;
-  dst.s2 <- src.s2;
-  dst.s3 <- src.s3;
-  dst.gauss_cache <- src.gauss_cache;
+  Bytes.blit src.st 0 dst.st 0 state_bytes;
   dst.gauss_full <- src.gauss_full
 
-let copy t =
-  {
-    s0 = t.s0;
-    s1 = t.s1;
-    s2 = t.s2;
-    s3 = t.s3;
-    gauss_cache = t.gauss_cache;
-    gauss_full = t.gauss_full;
-  }
+let copy t = { st = Bytes.copy t.st; gauss_full = t.gauss_full }
 
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] bits64 t =
+  let st = t.st in
+  let s0 = get64u st 0 and s1 = get64u st 8 and s2 = get64u st 16 and s3 = get64u st 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  let s2 = Int64.logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  set64u st 0 s0;
+  set64u st 8 s1;
+  set64u st 16 s2;
+  set64u st 24 s3;
   result
 
 let split t =
   (* Derive a child state by running splitmix64 from a word drawn
      from the parent; recommended practice for xoshiro seeding. *)
-  let st = bits64 t in
-  let s0, st = splitmix64 st in
-  let s1, st = splitmix64 st in
-  let s2, st = splitmix64 st in
-  let s3, _ = splitmix64 st in
-  let s3 = if all_zero s0 s1 s2 s3 then 1L else s3 in
-  { s0; s1; s2; s3; gauss_cache = 0.0; gauss_full = false }
+  of_splitmix (bits64 t)
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: n < 0";
@@ -91,7 +97,7 @@ let split_n t n =
   done;
   out
 
-let float t =
+let[@inline] float t =
   (* 53 high bits -> uniform in [0,1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1.0p-53
@@ -103,23 +109,38 @@ let float_range t a b =
 let int_range t lo hi =
   if hi < lo then invalid_arg "Rng.int_range: empty range";
   let span = hi - lo + 1 in
-  (* Rejection sampling on the low bits to avoid modulo bias. *)
-  let mask =
-    let rec grow m = if m >= span - 1 then m else grow ((m lsl 1) lor 1) in
-    grow 1
-  in
-  let rec draw () =
-    let v = Int64.to_int (Int64.logand (bits64 t) (Int64.of_int mask)) in
-    if v < span then lo + v else draw ()
-  in
-  if span = 1 then lo else draw ()
+  if span > 0 then begin
+    (* Rejection sampling on the low bits to avoid modulo bias. *)
+    let mask =
+      let rec grow m = if m >= span - 1 then m else grow ((m lsl 1) lor 1) in
+      grow 1
+    in
+    let rec draw () =
+      let v = Int64.to_int (Int64.logand (bits64 t) (Int64.of_int mask)) in
+      if v < span then lo + v else draw ()
+    in
+    if span = 1 then lo else draw ()
+  end
+  else begin
+    (* [hi - lo + 1] does not fit in an [int]: the wrapped difference
+       [hi - lo] read as an unsigned 63-bit number is the exact
+       distance. Draw full-width 63-bit words and reject those past it
+       (unsigned compare by flipping the sign bit); at least half
+       the draws are accepted, and [lo + v] wraps back into range. *)
+    let d = (hi - lo) lxor min_int in
+    let rec draw () =
+      let v = Int64.to_int (bits64 t) in
+      if v lxor min_int <= d then lo + v else draw ()
+    in
+    draw ()
+  end
 
 let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 
 let gaussian t =
   if t.gauss_full then begin
     t.gauss_full <- false;
-    t.gauss_cache
+    gauss_cache t
   end
   else begin
     (* Marsaglia polar method. *)
@@ -130,7 +151,7 @@ let gaussian t =
       if s >= 1.0 || s = 0.0 then draw ()
       else begin
         let f = sqrt (-2.0 *. log s /. s) in
-        t.gauss_cache <- v *. f;
+        set_gauss_cache t (v *. f);
         t.gauss_full <- true;
         u *. f
       end
@@ -145,7 +166,7 @@ let fill_gaussian t buf ~off ~len =
   let stop = off + len in
   if !i < stop && t.gauss_full then begin
     t.gauss_full <- false;
-    Array.unsafe_set buf !i t.gauss_cache;
+    Array.unsafe_set buf !i (gauss_cache t);
     incr i
   end;
   (* Same polar-pair state machine as [gaussian], batched: emit [u*f]
@@ -165,7 +186,7 @@ let fill_gaussian t buf ~off ~len =
         incr i
       end
       else begin
-        t.gauss_cache <- v *. f;
+        set_gauss_cache t (v *. f);
         t.gauss_full <- true
       end
     end
@@ -176,11 +197,11 @@ module R = Ss_checkpoint.R
 
 let save t w =
   W.tag w "rng";
-  W.i64 w t.s0;
-  W.i64 w t.s1;
-  W.i64 w t.s2;
-  W.i64 w t.s3;
-  W.float w t.gauss_cache;
+  W.i64 w (get64u t.st 0);
+  W.i64 w (get64u t.st 8);
+  W.i64 w (get64u t.st 16);
+  W.i64 w (get64u t.st 24);
+  W.float w (gauss_cache t);
   W.bool w t.gauss_full
 
 let restore t r =
@@ -195,11 +216,11 @@ let restore t r =
     raise (Ss_checkpoint.Corrupt "rng: all-zero xoshiro state in checkpoint");
   (* In place: sources and kernels capture the generator by closure,
      so restore must mutate the live object, not return a fresh one. *)
-  t.s0 <- s0;
-  t.s1 <- s1;
-  t.s2 <- s2;
-  t.s3 <- s3;
-  t.gauss_cache <- gauss_cache;
+  set64u t.st 0 s0;
+  set64u t.st 8 s1;
+  set64u t.st 16 s2;
+  set64u t.st 24 s3;
+  set_gauss_cache t gauss_cache;
   t.gauss_full <- gauss_full
 
 let gaussian_mv t ~mean ~std =

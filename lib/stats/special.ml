@@ -177,6 +177,104 @@ let erf x =
 let normal_pdf x = exp ((-0.5 *. x *. x) -. log_sqrt_2pi)
 let normal_cdf x = 0.5 *. erfc (-.x /. sqrt_2)
 
+(* [normal_cdf] over a buffer, in place. For |z| < 2
+   ([z = -x/sqrt 2]) the scalar path is [erf_series], whose cost is
+   one divide chain of up to 200 dependent steps. Here four values run
+   that loop interleaved, each lane with exactly the scalar operation
+   sequence, its own termination test and the 200-term cap, so every
+   result is bitwise [normal_cdf x] while the CPU overlaps the four
+   independent chains. Values with |z| >= 2 or NaN take the scalar
+   continued fraction when the scan reaches them.
+
+   A value's [normal_cdf x] from [z] and its series sum [s] is
+   [0.5 (1 - erf_series z)] for 0 <= z < 2 and
+   [0.5 (2 - (1 - erf_series (-z)))] below zero, exactly as [erfc]. *)
+let[@inline] cdf_of_series z s =
+  let e = 2.0 /. sqrt_pi *. s in
+  0.5 *. if z < 0.0 then 2.0 -. (1.0 -. e) else 1.0 -. e
+
+(* The series argument [|z|], as [erfc] passes it ([-z] below zero). *)
+let[@inline] series_arg z = if z < 0.0 then -.z else z
+
+(* The series of the [z] held in [buf.(i0) .. buf.(i3)] in lock-step,
+   each replaced by its [normal_cdf]; a negative index is an idle
+   lane. The term count is kept in a float: an int-to-float
+   conversion writes only half of its register, so it would wait on
+   the last lane's result and chain the lanes back into one. Exact,
+   as the count stays <= 200. *)
+let series4 buf i0 i1 i2 i3 =
+  let y0 = if i0 >= 0 then series_arg (Array.unsafe_get buf i0) else 0.0 in
+  let y1 = if i1 >= 0 then series_arg (Array.unsafe_get buf i1) else 0.0 in
+  let y2 = if i2 >= 0 then series_arg (Array.unsafe_get buf i2) else 0.0 in
+  let y3 = if i3 >= 0 then series_arg (Array.unsafe_get buf i3) else 0.0 in
+  let a0 = ref (i0 >= 0) and a1 = ref (i1 >= 0) and a2 = ref (i2 >= 0) and a3 = ref (i3 >= 0) in
+  let q0 = y0 *. y0 and q1 = y1 *. y1 and q2 = y2 *. y2 and q3 = y3 *. y3 in
+  let t0 = ref y0 and t1 = ref y1 and t2 = ref y2 and t3 = ref y3 in
+  let s0 = ref y0 and s1 = ref y1 and s2 = ref y2 and s3 = ref y3 in
+  let n = ref 0.0 in
+  while (!a0 || !a1 || !a2 || !a3) && !n < 200.0 do
+    let nf = !n +. 1.0 in
+    n := nf;
+    let den = (2.0 *. nf) +. 1.0 in
+    if !a0 then begin
+      t0 := !t0 *. (-.q0) /. nf;
+      let add = !t0 /. den in
+      s0 := !s0 +. add;
+      if abs_float add < 1e-17 *. abs_float !s0 then a0 := false
+    end;
+    if !a1 then begin
+      t1 := !t1 *. (-.q1) /. nf;
+      let add = !t1 /. den in
+      s1 := !s1 +. add;
+      if abs_float add < 1e-17 *. abs_float !s1 then a1 := false
+    end;
+    if !a2 then begin
+      t2 := !t2 *. (-.q2) /. nf;
+      let add = !t2 /. den in
+      s2 := !s2 +. add;
+      if abs_float add < 1e-17 *. abs_float !s2 then a2 := false
+    end;
+    if !a3 then begin
+      t3 := !t3 *. (-.q3) /. nf;
+      let add = !t3 /. den in
+      s3 := !s3 +. add;
+      if abs_float add < 1e-17 *. abs_float !s3 then a3 := false
+    end
+  done;
+  if i0 >= 0 then Array.unsafe_set buf i0 (cdf_of_series (Array.unsafe_get buf i0) !s0);
+  if i1 >= 0 then Array.unsafe_set buf i1 (cdf_of_series (Array.unsafe_get buf i1) !s1);
+  if i2 >= 0 then Array.unsafe_set buf i2 (cdf_of_series (Array.unsafe_get buf i2) !s2);
+  if i3 >= 0 then Array.unsafe_set buf i3 (cdf_of_series (Array.unsafe_get buf i3) !s3)
+
+let normal_cdf_into buf ~off ~len =
+  if len < 0 || off < 0 || off + len > Array.length buf then
+    invalid_arg "Special.normal_cdf_into: range outside the buffer";
+  if len < 4 then
+    for i = off to off + len - 1 do
+      Array.unsafe_set buf i (normal_cdf (Array.unsafe_get buf i))
+    done
+  else begin
+    (* Gather the series values four at a time, each stored as its [z]
+       until its lane finishes; the others are done on the spot. *)
+    let i0 = ref (-1) and i1 = ref (-1) and i2 = ref (-1) in
+    let held = ref 0 in
+    for i = off to off + len - 1 do
+      let x = Array.unsafe_get buf i in
+      let z = -.x /. sqrt_2 in
+      if not (abs_float z < 2.0) then Array.unsafe_set buf i (normal_cdf x)
+      else begin
+        Array.unsafe_set buf i z;
+        match !held with
+        | 0 -> i0 := i; held := 1
+        | 1 -> i1 := i; held := 2
+        | 2 -> i2 := i; held := 3
+        | _ -> series4 buf !i0 !i1 !i2 i; held := 0
+      end
+    done;
+    if !held > 0 then
+      series4 buf !i0 (if !held > 1 then !i1 else -1) (if !held > 2 then !i2 else -1) (-1)
+  end
+
 (* Erf-free fast normal CDF: Abramowitz & Stegun 26.2.17, a degree-5
    polynomial in t = 1/(1 + 0.2316419 |x|) times the normal density,
    |error| < 7.5e-8 absolute on the whole real line. One exp and five

@@ -41,6 +41,21 @@ val gamma_q : float -> float -> float
 val normal_cdf : float -> float
 (** Standard normal cumulative distribution [Phi(x)]. *)
 
+val normal_cdf_into : float array -> off:int -> len:int -> unit
+(** [normal_cdf_into buf ~off ~len] replaces each
+    [buf.(i)], [off <= i < off + len], by [normal_cdf buf.(i)],
+    bitwise. Values whose [erf] argument lies below 2 in magnitude
+    run the Maclaurin series four at a time: the four loops are
+    interleaved, each with the scalar operation sequence, its own
+    termination test and the 200-term cap, so the four divide chains
+    overlap while every result stays bitwise the scalar one. The
+    others (the continued-fraction tail, NaN) and ranges shorter than
+    four go through {!normal_cdf}. 2-core x86-64 host: about 98 ns per
+    value against 203 for the scalar loop on i.i.d. standard-normal
+    inputs, and 55–66 against 215 on a long-range-dependent path,
+    whose neighbouring values need similar term counts. Allocates only a boxed result per continued-fraction value.
+    @raise Invalid_argument if the range falls outside [buf]. *)
+
 val normal_cdf_relaxed : float -> float
 (** Fast approximate [Phi(x)]: Abramowitz & Stegun 26.2.17 (erf-free,
     one [exp] plus a degree-5 polynomial), absolute error below

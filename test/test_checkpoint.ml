@@ -1000,6 +1000,60 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_source_snapshot_continuation; prop_mux_snapshot_resume ]
 
+(* Exact model sources run as one lock-step lane group at one shard
+   (four sources in one tile) and per source at four shards (one
+   source per shard), and per source at one shard when rewrapped by
+   [Source.make] (no lane descriptor). Each lane advances its ring,
+   counters and generator exactly as its own pull would, so the
+   snapshots are byte-identical across the three and each resumes
+   bitwise under the others. every=200 puts the first snapshot just
+   after warm-up (order 160) and the later ones mid-ring. *)
+let run_mux_lanes ?pool ?shards ?(per_source = false) ?checkpoint ?resume () =
+  let m = Lazy.force small_model in
+  let srcs =
+    Array.init 4 (fun i ->
+        let s =
+          Source.of_model ~name:(Printf.sprintf "e%d" i) ~order:160 m
+            (Rng.create ~seed:(500 + i))
+        in
+        if not per_source then s
+        else
+          Source.make ~pull_block:s.Source.pull_block ?ckpt:s.Source.ckpt ~name:s.Source.name
+            ~mean:s.Source.mean ~sigma2:s.Source.sigma2 ~hurst:s.Source.hurst s.Source.pull)
+  in
+  Mux.run ?pool ?shards ?checkpoint ?resume ~buffer:6.0 ~service:2.5 ~slots:1000 srcs
+
+let test_mux_lanes_resume_identity () =
+  let base = run_mux_lanes ~per_source:true () in
+  let ck_lane, first_lane, last_lane = capture_hook 200 in
+  let lanes = run_mux_lanes ~checkpoint:ck_lane () in
+  if not (Mux.equal_report base lanes) then Alcotest.fail "lane run differs from per-source run";
+  let ck_src, first_src, last_src = capture_hook 200 in
+  ignore (run_mux_lanes ~per_source:true ~checkpoint:ck_src () : Mux.report);
+  let p = Pool.create ~domains:4 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
+  let ck4, first4, last4 = capture_hook 200 in
+  let armed4 = run_mux_lanes ~pool:p ~shards:4 ~checkpoint:ck4 () in
+  if not (Mux.equal_report base armed4) then Alcotest.fail "4-shard run differs";
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check bool) what true (String.equal (Option.get !a) (Option.get !b)))
+    [
+      ("first snapshot: lanes = per-source", first_lane, first_src);
+      ("last snapshot: lanes = per-source", last_lane, last_src);
+      ("first snapshot: lanes = 4 shards", first_lane, first4);
+      ("last snapshot: lanes = 4 shards", last_lane, last4);
+    ];
+  let resumed = run_mux_lanes ~pool:p ~shards:4 ~resume:(reader (Option.get !first_lane)) () in
+  if not (Mux.equal_report base resumed) then
+    Alcotest.fail "lane snapshot resumed at 4 shards differs";
+  let resumed = run_mux_lanes ~resume:(reader (Option.get !first4)) () in
+  if not (Mux.equal_report base resumed) then
+    Alcotest.fail "4-shard snapshot resumed as lanes differs";
+  let resumed = run_mux_lanes ~resume:(reader (Option.get !last_src)) () in
+  if not (Mux.equal_report base resumed) then
+    Alcotest.fail "per-source snapshot resumed as lanes differs"
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ss_checkpoint"
@@ -1037,6 +1091,7 @@ let () =
           tc "resume == uninterrupted" test_mux_resume_identity;
           tc "shard/domain invariance" test_mux_resume_shard_and_domain_invariant;
           tc "fft kernel resume == uninterrupted" test_mux_fft_resume_identity;
+          tc "lane groups resume across layouts" test_mux_lanes_resume_identity;
           tc "refusals" test_mux_checkpoint_refusals;
           tc "engine bad counters" test_corrupt_mux_engine;
         ] );

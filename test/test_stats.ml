@@ -125,6 +125,96 @@ let test_rng_fill_gaussian_matches_gaussian () =
   raises_invalid "negative len" (fun () -> Rng.fill_gaussian b got ~off:0 ~len:(-1));
   raises_invalid "range overflow" (fun () -> Rng.fill_gaussian b got ~off:total ~len:1)
 
+(* Stream pin recorded before the generator's state moved from boxed
+   [int64] fields to unboxed storage: the xoshiro256++/splitmix64
+   arithmetic, the polar cache, [split] and the checkpoint round trip
+   must reproduce these words bit for bit. *)
+let test_rng_stream_pin () =
+  let hex v = Printf.sprintf "%016Lx" v in
+  let fbits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let r = Rng.create ~seed:1 in
+  Alcotest.(check (list string))
+    "first 16 bits64"
+    [
+      "cfc5d07f6f03c29b"; "bf424132963fe08d"; "19a37d5757aaf520"; "bf08119f05cd56d6";
+      "2f47184b86186fa4"; "97299fcae7202345"; "fca3c79508f41507"; "85fea5c90363f221";
+      "18bae5b30d334bd0"; "226113c9f026ec16"; "eb9e0ef9dccfe649"; "57efaedd9f6cffb3";
+      "128ae2d5697640d6"; "65033a4eee505049"; "16e9453ed54a88ba"; "28065aa8f428a8bb";
+    ]
+    (List.init 16 (fun _ -> hex (Rng.bits64 r)));
+  (* Nine deviates: the last of the pair-drawing polar method's odd
+     count stays in the cache across [split] and the snapshot. *)
+  Alcotest.(check (list string))
+    "9 gaussians"
+    [
+      "4004c9c505640341"; "bff3b7eb55b7225b"; "3fd9058bcb11fdbc"; "3fbf1826e208926b";
+      "bfe54b9ef49a9678"; "3fea856645206226"; "bff25ee589fce95c"; "bfd2a1db51fb1e2a";
+      "bff6915199465ec8";
+    ]
+    (List.init 9 (fun _ -> fbits (Rng.gaussian r)));
+  let child = Rng.split r in
+  Alcotest.(check (list string))
+    "split child"
+    [ "ffc0dfe898d94718"; "1a97602ad879255f"; "c5d4de194f54fc16"; "7cfbfc583370d0ea" ]
+    (List.init 4 (fun _ -> hex (Rng.bits64 child)));
+  let w = Ss_checkpoint.W.create () in
+  Rng.save r w;
+  let bytes = Ss_checkpoint.W.contents w in
+  Alcotest.(check string)
+    "snapshot bytes" "80cfc19ade0025f7d6a5b46c73ad48dc"
+    (Digest.to_hex (Digest.string bytes));
+  let r2 = Rng.create ~seed:99 in
+  Rng.restore r2 (Ss_checkpoint.R.of_string bytes);
+  Alcotest.(check string) "cached deviate after restore" "3fe1aec3be739b43"
+    (fbits (Rng.gaussian r2));
+  Alcotest.(check (list string))
+    "continuation after restore"
+    [ "fb68dacb355a2892"; "9c77729184aa08f8" ]
+    (List.init 2 (fun _ -> hex (Rng.bits64 r2)));
+  (* int_range draws for spans that fit in an [int]. *)
+  let r = Rng.create ~seed:1 in
+  List.iter
+    (fun (lo, hi, expected) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "int_range %d %d" lo hi)
+        expected
+        (List.init 4 (fun _ -> Rng.int_range r lo hi)))
+    [
+      (3, 9, [ 6; 8; 3; 9 ]);
+      (-5, 5, [ -1; 0; 2; -4 ]);
+      (0, 1000, [ 976; 22; 585; 947 ]);
+      (0, 1 lsl 40, [ 916597391574; 339005689929; 725650811067; 934775566067 ]);
+      ( -(1 lsl 60),
+        1 lsl 60,
+        [ -895088479265827061; -342358299308390902; 742741189487082096; 898312620005263608 ]
+      );
+      ( 0,
+        max_int - 1,
+        [ 4244539749519625782; 1725731387609086127; 2758111626953413087; 134838324827833974 ]
+      );
+      ( min_int + 1,
+        -1,
+        [
+          -2392118810505726466; -843763811538127561; -3263897856532020622; -2614916772480333570;
+        ] );
+    ]
+
+let test_rng_fill_gaussian_allocation () =
+  (* The generator state is unboxed, so a batch of deviates allocates
+     nothing per draw (29.2 minor words per draw while the state lived
+     in boxed int64 fields). The measurement itself may box a few
+     words (the float results of [Gc.minor_words]); allow 16 in total
+     over 10^5 draws. *)
+  let rng = Rng.create ~seed:15 in
+  let n = 100_000 in
+  let buf = Array.make n 0.0 in
+  Rng.fill_gaussian rng buf ~off:0 ~len:3;
+  let w0 = Gc.minor_words () in
+  Rng.fill_gaussian rng buf ~off:0 ~len:n;
+  let words = Gc.minor_words () -. w0 in
+  if words > 16.0 then
+    Alcotest.failf "fill_gaussian allocated %.0f minor words over %d draws" words n
+
 let test_rng_int_range () =
   let rng = Rng.create ~seed:8 in
   let counts = Array.make 7 0 in
@@ -144,6 +234,22 @@ let test_rng_int_range_singleton () =
   for _ = 1 to 100 do
     Alcotest.(check int) "singleton range" 5 (Rng.int_range rng 5 5)
   done
+
+let test_rng_int_range_full_width () =
+  (* Spans whose size [hi - lo + 1] overflows an [int]; these used to
+     loop forever. *)
+  let rng = Rng.create ~seed:14 in
+  List.iter
+    (fun (lo, hi) ->
+      let below_zero = ref 0 in
+      for _ = 1 to 1000 do
+        let v = Rng.int_range rng lo hi in
+        if v < lo || v > hi then Alcotest.failf "int_range %d %d gave %d" lo hi v;
+        if v < 0 then incr below_zero
+      done;
+      if lo = min_int && (!below_zero < 400 || !below_zero > 600) then
+        Alcotest.failf "int_range min_int max_int: %d of 1000 negative" !below_zero)
+    [ (0, max_int); (min_int, max_int); (-1, max_int) ]
 
 let test_rng_split_independence () =
   let parent = Rng.create ~seed:10 in
@@ -245,6 +351,70 @@ let test_normal_cdf_symmetry () =
     [ 0.0; 0.5; 1.0; 2.0; 4.0 ];
   close ~eps:1e-13 "Phi(0)" 0.5 (Special.normal_cdf 0.0);
   close_rel ~eps:1e-10 "Phi(1.96)" 0.9750021048517795 (Special.normal_cdf 1.96)
+
+(* Inputs for the in-place CDF/transform kernels: the specials, placed
+   among 10^5 random values so they land in every lane position and
+   in the remainder. [2 sqrt 2] and its neighbours put [z = -x/sqrt 2]
+   on either side of the series/continued-fraction switch at 2. *)
+let cdf_specials ~nan =
+  let r2 = 2.0 *. 1.4142135623730950488 in
+  [ 0.0; -0.0; infinity; neg_infinity; 1e-300; -1e-300; 8.0; -8.0; r2; -.r2 ]
+  @ [ Float.succ r2; Float.pred r2; Float.succ (-.r2); Float.pred (-.r2) ]
+  @ [ 2.0 *. sqrt 2.0; -2.0 *. sqrt 2.0 ]
+  @ if nan then [ Float.nan; -.Float.nan ] else []
+
+let cdf_inputs ~nan =
+  let rng = Rng.create ~seed:31 in
+  let xs = Array.init 100_000 (fun i -> Rng.gaussian rng *. if i mod 3 = 0 then 3.0 else 1.0) in
+  let sp = Array.of_list (cdf_specials ~nan) in
+  Array.iteri (fun k x -> xs.((k * 4099) + (k mod 4)) <- x) sp;
+  Array.append sp xs
+
+let check_in_place name ~scalar ~into xs =
+  let n = Array.length xs in
+  List.iter
+    (fun (off, len) ->
+      let buf = Array.copy xs in
+      into buf ~off ~len;
+      Array.iteri
+        (fun i y ->
+          let want = if i >= off && i < off + len then scalar xs.(i) else xs.(i) in
+          if Int64.bits_of_float y <> Int64.bits_of_float want then
+            Alcotest.failf "%s at %d (x = %h, off %d len %d): %h <> %h" name i xs.(i) off len
+              y want)
+        buf)
+    [ (0, n); (1, n - 3); (5, 3); (7, 1); (2, 0); (n - 6, 6) ];
+  let buf = Array.copy xs in
+  raises_invalid (name ^ " range") (fun () -> into buf ~off:(n - 1) ~len:2);
+  raises_invalid (name ^ " negative len") (fun () -> into buf ~off:0 ~len:(-1))
+
+let test_normal_cdf_into () =
+  check_in_place "normal_cdf_into" ~scalar:Special.normal_cdf ~into:Special.normal_cdf_into
+    (cdf_inputs ~nan:true)
+
+let test_transform_apply_into () =
+  (* NaN is left out: the quantiles reject it. *)
+  let xs = cdf_inputs ~nan:false in
+  let emp =
+    let rng = Rng.create ~seed:32 in
+    Dist.of_empirical
+      (Empirical.of_data (Array.init 5000 (fun _ -> Rng.exponential rng ~rate:0.1)))
+  in
+  let module T = Ss_fractal.Transform in
+  List.iter
+    (fun (name, t) ->
+      check_in_place ("apply_into " ^ name) ~scalar:(T.apply1 t) ~into:(T.apply_into t) xs;
+      let whole = T.apply t xs in
+      Array.iteri
+        (fun i y ->
+          if Int64.bits_of_float y <> Int64.bits_of_float (T.apply1 t xs.(i)) then
+            Alcotest.failf "apply %s at %d differs from apply1" name i)
+        whole)
+    [
+      ("lognormal", T.make (Dist.lognormal ~mu:0.3 ~sigma:0.6));
+      ("empirical", T.make emp);
+      ("relaxed empirical", T.relax (T.make emp));
+    ]
 
 let test_normal_cdf_relaxed_accuracy () =
   (* A&S 26.2.17 polynomial: |Phi_relaxed - Phi| < 7.5e-8 everywhere,
@@ -849,8 +1019,11 @@ let () =
           tc "gaussian moments" test_rng_gaussian_moments;
           tc "gaussian tail" test_rng_gaussian_tail;
           tc "fill_gaussian = gaussian" test_rng_fill_gaussian_matches_gaussian;
+          tc "stream pin" test_rng_stream_pin;
+          tc "fill_gaussian allocates nothing" test_rng_fill_gaussian_allocation;
           tc "int_range uniform" test_rng_int_range;
           tc "int_range singleton" test_rng_int_range_singleton;
+          tc "int_range full width" test_rng_int_range_full_width;
           tc "split independence" test_rng_split_independence;
           tc "exponential mean" test_rng_exponential_mean;
           tc "pareto support/median" test_rng_pareto_support_and_median;
@@ -867,6 +1040,8 @@ let () =
           tc "gamma P+Q" test_gamma_p_q_complementarity;
           tc "normal cdf symmetry" test_normal_cdf_symmetry;
           tc "normal cdf relaxed" test_normal_cdf_relaxed_accuracy;
+          tc "normal_cdf_into = normal_cdf" test_normal_cdf_into;
+          tc "Transform.apply_into = apply1" test_transform_apply_into;
           tc "normal quantile roundtrip" test_normal_quantile_roundtrip;
           tc "normal quantile known" test_normal_quantile_known;
           tc "log normal pdf" test_log_normal_pdf;
