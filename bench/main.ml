@@ -254,7 +254,7 @@ let fig8 () =
   let m = model () in
   let sizes = (Lazy.force intra).Trace.sizes in
   let n = Array.length sizes in
-  let synth = Generate.foreground m ~n Generate.Davies_harte (rng_for "fig8") in
+  let synth = Generate.foreground m ~n (rng_for "fig8") in
   let re = D.acf sizes ~max_lag:500 and rs = D.acf synth ~max_lag:500 in
   pf "# lag  empirical  synthetic\n";
   let rec go k =
@@ -666,7 +666,7 @@ let abl_trad () =
   let x_tes = Ss_fractal.Tes.generate tes ~n (rng_for "abl-trad-tes") in
   let r_tes = D.acf x_tes ~max_lag:400 in
   (* The unified model's synthetic trace. *)
-  let x_ss = Generate.foreground (model ()) ~n Generate.Davies_harte (rng_for "abl-trad-ss") in
+  let x_ss = Generate.foreground (model ()) ~n (rng_for "abl-trad-ss") in
   let r_ss = D.acf x_ss ~max_lag:400 in
   pf "# dar rho = %.4f; tes half-width = %.4f (both matched to r(1) = %.4f)\n" re.(1) hw target;
   pf "# lag  empirical  unified  dar(1)  tes\n";
@@ -726,7 +726,7 @@ let abl_mux () =
     (fun sources ->
       let agg =
         Ss_queueing.Workload.superpose_gen
-          (fun sub -> Generate.foreground m ~n:n_slots Generate.Davies_harte sub)
+          (fun sub -> Generate.foreground m ~n:n_slots sub)
           ~sources (Rng.split rng)
       in
       let qp = Trace_sim.queue_path ~arrivals:agg ~utilization:0.7 in
@@ -1323,14 +1323,14 @@ let abl_batch () =
 (* perf-parallel: domain-pool scaling                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Times the three pool-accelerated hot paths at 1/2/4 domains, checks
+(* Times the two pool-accelerated hot paths at 1/2/4 domains, checks
    every result is bit-identical to the 1-domain run, and writes the
    machine-readable BENCH_parallel.json artifact. All runs use the
    pooled code path (a 1-domain pool runs on the caller), so the
    identity check exercises the determinism contract, not just the
    sequential fallback. *)
 let perf_parallel () =
-  pf "# perf-parallel: domain-pool scaling (table build, IS replications, mux slot loop)\n";
+  pf "# perf-parallel: domain-pool scaling (IS replications, mux slot loop)\n";
   let cores = Domain.recommended_domain_count () in
   pf "# recommended_domain_count = %d (speedup > 1 needs > 1 core)\n" cores;
   let domain_counts = [ 1; 2; 4 ] in
@@ -1347,25 +1347,8 @@ let perf_parallel () =
     let p = Pool.create ~domains:d in
     Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
   in
-  (* 1. Hosking table construction: parallel Durbin-Levinson inner
-     products. *)
   let acf = Acf.fgn ~h:0.9 in
-  let table_sig t =
-    let x = Hosking.generate t (Rng.create ~seed:97) in
-    Array.fold_left (fun h v -> Hashtbl.hash (h, Int64.bits_of_float v)) 0 x
-  in
-  let table_ref = ref 0 in
-  List.iter
-    (fun d ->
-      with_domains d (fun p ->
-          let t, secs =
-            time_it (fun () -> Hosking.Table.make_pooled ~pool:p ~par_cutoff:256 ~acf ~n:4096 ())
-          in
-          let sg = table_sig t in
-          if d = 1 then table_ref := sg;
-          record "hosking-table-4096" d secs (sg = !table_ref)))
-    domain_counts;
-  (* 2. Importance-sampling replication fan-out. *)
+  (* 1. Importance-sampling replication fan-out. *)
   let is_table = Hosking.Table.make ~acf ~n:1024 in
   let is_cfg =
     Is.make_config ~table:is_table ~arrival:(fun _ x -> x) ~service:0.5 ~buffer:8.0
@@ -1384,7 +1367,7 @@ let perf_parallel () =
           record "is-replications-400" d secs
             (Int64.bits_of_float e.Mc.p = Int64.bits_of_float !p_ref)))
     domain_counts;
-  (* 3. Mux slot loop: block prefetch across sources. *)
+  (* 2. Mux slot loop: block prefetch across sources. *)
   let m = model () in
   let mux_run p =
     let rng = Rng.create ~seed:(Defaults.seed + 23) in
@@ -1553,7 +1536,7 @@ let throughput () =
      synthesis stays inside the timing. *)
   List.iter
     (fun n ->
-      ignore (Ss_mux.Source.plan_for ~acf ~n : DH.plan);
+      ignore (Ss_fractal.Plan_cache.dh_plan ~acf ~n : DH.plan);
       let a_h, t_h =
         best_of (fun () ->
             time_gc (fun () ->
@@ -2112,7 +2095,7 @@ let throughput_smoke () =
   let cfg backend =
     Is.make_config ~table ~arrival ~service ~buffer ~horizon ~twist:0.0 ~backend ()
   in
-  let plan = Ss_mux.Source.plan_for ~acf:(Model.background_acf m) ~n:horizon in
+  let plan = Ss_fractal.Plan_cache.dh_plan ~acf:(Model.background_acf m) ~n:horizon in
   let rng = rng_for "tp-smoke-is" in
   let reps_each = 600 in
   let e_h = Is.estimate ?pool:(pool ()) (cfg `Hosking) ~replications:reps_each (Rng.split rng) in

@@ -376,9 +376,7 @@ let generate_cmd =
         let trace = Trace.load path in
         let model, diag = Fit.fit ~max_lag trace.Trace.sizes in
         Format.printf "%a@." Report.pp_diagnostics diag;
-        let synth =
-          Generate.foreground model ~n:frames Generate.Davies_harte (Rng.create ~seed)
-        in
+        let synth = Generate.foreground model ~n:frames (Rng.create ~seed) in
         let out =
           Trace.make ~name:"synthetic" ~fps:trace.Trace.fps ~gop:trace.Trace.gop synth
         in

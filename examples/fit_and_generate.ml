@@ -48,7 +48,7 @@ let () =
   Format.printf "        (model uses exact Hermite inversion of the response)@.";
 
   (* Generate and audit the match the paper shows in Figs 8 and 12-13. *)
-  let synth = Generate.foreground model ~n:65_536 Generate.Davies_harte (Rng.create ~seed:3) in
+  let synth = Generate.foreground model ~n:65_536 (Rng.create ~seed:3) in
   let re = D.acf sizes ~max_lag:300 and rsynth = D.acf synth ~max_lag:300 in
   Format.printf "@.lag    empirical  synthetic@.";
   List.iter

@@ -27,8 +27,7 @@ let () =
   (* 3. Generate a synthetic trace with the same marginal distribution
      and both short- and long-range dependence. *)
   let synthetic =
-    Ss_core.Generate.foreground model ~n:16_384 Ss_core.Generate.Davies_harte
-      (Rng.create ~seed:7)
+    Ss_core.Generate.foreground model ~n:16_384 (Rng.create ~seed:7)
   in
   Format.printf "--- synthetic vs reference ---@.";
   Format.printf "mean   %8.0f  vs %8.0f bytes/frame@." (D.mean synthetic) (D.mean movie.Trace.sizes);

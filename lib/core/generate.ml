@@ -1,49 +1,15 @@
-module Hosking = Ss_fractal.Hosking
-module Davies_harte = Ss_fractal.Davies_harte
+module Plan_cache = Ss_fractal.Plan_cache
 module Transform = Ss_fractal.Transform
 
-type generator =
-  | Hosking_stream
-  | Hosking_table of Hosking.Table.t
-  | Davies_harte
-
-let table_cache : (string * int, Hosking.Table.t) Hashtbl.t = Hashtbl.create 8
-let plan_cache : (string * int, Ss_fractal.Davies_harte.plan) Hashtbl.t = Hashtbl.create 8
-
 let table model ~n =
-  let acf = Model.background_acf model in
-  let key = (acf.Ss_fractal.Acf.name, n) in
-  match Hashtbl.find_opt table_cache key with
-  | Some t -> t
-  | None ->
-    let t = Hosking.Table.make ~acf ~n in
-    Hashtbl.add table_cache key t;
-    t
+  if n <= 0 || n > 20_000 then invalid_arg "Generate.table: n outside [1, 20000]";
+  Plan_cache.table ~acf:(Model.background_acf model) ~order:(n - 1)
 
-let dh_plan model ~n =
-  let acf = Model.background_acf model in
-  let key = (acf.Ss_fractal.Acf.name, n) in
-  match Hashtbl.find_opt plan_cache key with
-  | Some p -> p
-  | None ->
-    let p = Ss_fractal.Davies_harte.plan ~acf ~n in
-    Hashtbl.add plan_cache key p;
-    p
-
-let background model ~n gen rng =
+let background model ~n rng =
   if n <= 0 then invalid_arg "Generate.background: n <= 0";
-  match gen with
-  | Hosking_stream -> Hosking.generate_stream ~acf:(Model.background_acf model) ~n rng
-  | Hosking_table t ->
-    if Hosking.Table.length t < n then
-      invalid_arg "Generate.background: table shorter than n";
-    let buf = Array.make n 0.0 in
-    Hosking.generate_into t rng buf;
-    buf
-  | Davies_harte -> Ss_fractal.Davies_harte.generate (dh_plan model ~n) rng
+  Ss_fractal.Davies_harte.generate (Plan_cache.dh_plan ~acf:(Model.background_acf model) ~n) rng
 
-let foreground model ~n gen rng =
-  Transform.apply model.Model.transform (background model ~n gen rng)
+let foreground model ~n rng = Transform.apply model.Model.transform (background model ~n rng)
 
 let arrival_fn model =
   let h = model.Model.transform in

@@ -1,31 +1,26 @@
 (** Synthesis of foreground traffic from a fitted model.
 
-    The background Gaussian path comes from Hosking's method (exact,
-    quadratic — used for queueing/IS where conditional structure
-    matters) or Davies–Harte (exact, O(n log n) — used for long
-    traces); the foreground is the marginal transform of the
-    background (Eq 7). *)
+    The background Gaussian path comes from Davies–Harte circulant
+    embedding (exact at every lag, O(n log n)); the foreground is the
+    marginal transform of the background (Eq 7). The Hosking table
+    the importance sampler walks comes from {!table}. *)
 
-type generator =
-  | Hosking_stream  (** O(n) memory Durbin–Levinson, one-shot *)
-  | Hosking_table of Ss_fractal.Hosking.Table.t
-      (** reuse a precomputed table (must be at least [n] long) *)
-  | Davies_harte  (** circulant embedding; plans are cached per (model, n) *)
-
-val background : Model.t -> n:int -> generator -> Ss_stats.Rng.t -> float array
+val background : Model.t -> n:int -> Ss_stats.Rng.t -> float array
 (** A zero-mean unit-variance background path realizing the model's
-    compensated autocorrelation. @raise Invalid_argument if [n <= 0],
-    a supplied table is too short, or the Davies–Harte embedding
-    fails for this autocorrelation/length. *)
+    compensated autocorrelation. The Davies–Harte plan is cached in
+    {!Ss_fractal.Plan_cache}. @raise Invalid_argument if [n <= 0] or
+    the embedding fails for this autocorrelation/length. *)
 
-val foreground : Model.t -> n:int -> generator -> Ss_stats.Rng.t -> float array
+val foreground : Model.t -> n:int -> Ss_stats.Rng.t -> float array
 (** [transform (background ...)]: a synthetic frame-size series with
     the model's marginal and dependence. *)
 
 val table : Model.t -> n:int -> Ss_fractal.Hosking.Table.t
-(** Build (and cache, keyed by the background ACF name and length) a
-    Hosking table for this model — shared by the importance-sampling
-    experiments. *)
+(** The Hosking table of length [n] for the model's background ACF,
+    from {!Ss_fractal.Plan_cache} (keyed by the ACF's values, not its
+    name) — shared by the importance-sampling experiments and by
+    model sources of order [n - 1].
+    @raise Invalid_argument if [n <= 0] or [n > 20_000]. *)
 
 val arrival_fn : Model.t -> Ss_fastsim.Is_estimator.arrival
 (** The per-slot foreground map for the importance sampler: ignores

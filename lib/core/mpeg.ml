@@ -64,10 +64,6 @@ let generate t ~n rng =
   let x = Davies_harte.generate plan rng in
   Composite.apply t.composite x
 
-let generate_hosking t ~n rng =
-  let x = Hosking.generate_stream ~acf:t.background ~n rng in
-  Composite.apply t.composite x
-
 let background_table t ~n = Hosking.Table.make ~acf:t.background ~n
 
 let arrival_fn t =

@@ -29,10 +29,6 @@ val generate : t -> n:int -> Ss_stats.Rng.t -> Ss_video.Trace.t
 (** Synthesize [n] frames: one Davies–Harte background path pushed
     through the per-type transforms along the GOP pattern. *)
 
-val generate_hosking : t -> n:int -> Ss_stats.Rng.t -> Ss_video.Trace.t
-(** Same, with the streaming Hosking generator (slower; used for
-    cross-validation and when the embedding fails). *)
-
 val background_table : t -> n:int -> Ss_fractal.Hosking.Table.t
 (** Hosking table of the rescaled background — for composite-source
     importance sampling. *)

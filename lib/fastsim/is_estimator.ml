@@ -91,7 +91,7 @@ let replicate_davies_harte cfg plan rng =
 
 let replicate_hosking cfg rng =
   let table = cfg.table in
-  let lik = Likelihood.of_plan cfg.lik_plan in
+  let lik = Likelihood.stream_of_plan cfg.lik_plan in
   (* Background path under the twisted law, built incrementally:
      x'_k = (cond mean of untwisted past) + innovation + m_k.
      Storing the *untwisted* values keeps cond_mean applicable. *)
@@ -103,12 +103,12 @@ let replicate_hosking cfg rng =
     let m = Table.cond_mean table xs !k in
     let innovation = Table.innovation_std table !k *. Rng.gaussian rng in
     xs.(!k) <- m +. innovation;
-    Likelihood.step lik ~k:!k ~innovation;
+    Likelihood.stream_step lik ~k:!k ~innovation;
     let x_twisted = xs.(!k) +. Twist.shift cfg.profile !k in
     let y = cfg.arrival !k x_twisted in
     w := !w +. y -. cfg.service;
     if cfg.initial_workload +. !w > cfg.buffer then begin
-      let lw = Likelihood.log_ratio lik in
+      let lw = Likelihood.stream_log_ratio lik in
       result := Some { hit = true; weight = exp lw; log_weight = lw; stop_step = !k + 1 }
     end;
     incr k
@@ -120,7 +120,7 @@ let replicate_hosking cfg rng =
        buffer the queue is still above b at time k when q0 + W_k > b
        (q0 = b, i.e. W_k > 0). *)
     if cfg.full_start && !w > 0.0 then
-      let lw = Likelihood.log_ratio lik in
+      let lw = Likelihood.stream_log_ratio lik in
       { hit = true; weight = exp lw; log_weight = lw; stop_step = cfg.horizon }
     else { hit = false; weight = 0.0; log_weight = neg_infinity; stop_step = cfg.horizon }
 

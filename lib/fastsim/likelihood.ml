@@ -20,36 +20,7 @@ let plan ~table ~profile =
   in
   { table; profile; delta }
 
-let plan_table p = p.table
 let plan_profile p = p.profile
-
-type t = {
-  p : plan;
-  mutable log_l : float;
-  mutable next_k : int;
-}
-
-let of_plan p = { p; log_l = 0.0; next_k = 0 }
-
-let create ~table ~twist = of_plan (plan ~table ~profile:(Twist.constant twist))
-
-let reset t =
-  t.log_l <- 0.0;
-  t.next_k <- 0
-
-let step t ~k ~innovation =
-  if k <> t.next_k then
-    invalid_arg (Printf.sprintf "Likelihood.step: expected step %d, got %d" t.next_k k);
-  let delta = t.p.delta.(k) in
-  if delta <> 0.0 then begin
-    let v = Table.cond_var t.p.table k in
-    t.log_l <- t.log_l -. (((2.0 *. innovation *. delta) +. (delta *. delta)) /. (2.0 *. v))
-  end;
-  t.next_k <- k + 1
-
-let log_ratio t = t.log_l
-let ratio t = exp t.log_l
-let steps t = t.next_k
 
 (* Streaming accumulator over the truncated-Hosking recursion: exact
    rows up to [order = Table.length - 1], then the frozen AR(order)
@@ -61,8 +32,8 @@ type stream = {
   mhist : float array;
       (* last [order] profile shifts, chronological; empty for
          constant profiles, whose tail delta is just sp.delta.(order) *)
-  mutable s_log_l : float;
-  mutable s_next_k : int;
+  mutable log_l : float;
+  mutable next_k : int;
 }
 
 let stream_of_plan sp =
@@ -72,18 +43,18 @@ let stream_of_plan sp =
     | Some _ -> [||]
     | None -> Array.make (Stdlib.max order 1) 0.0
   in
-  { sp; order; mhist; s_log_l = 0.0; s_next_k = 0 }
+  { sp; order; mhist; log_l = 0.0; next_k = 0 }
 
 let stream ~table ~profile = stream_of_plan (plan ~table ~profile)
 
 let stream_reset t =
-  t.s_log_l <- 0.0;
-  t.s_next_k <- 0;
+  t.log_l <- 0.0;
+  t.next_k <- 0;
   Array.fill t.mhist 0 (Array.length t.mhist) 0.0
 
 let stream_step t ~k ~innovation =
-  if k <> t.s_next_k then
-    invalid_arg (Printf.sprintf "Likelihood.stream_step: expected step %d, got %d" t.s_next_k k);
+  if k <> t.next_k then
+    invalid_arg (Printf.sprintf "Likelihood.stream_step: expected step %d, got %d" t.next_k k);
   let sp = t.sp in
   let kk = if k < t.order then k else t.order in
   let delta =
@@ -107,8 +78,8 @@ let stream_step t ~k ~innovation =
   in
   (if delta <> 0.0 then
      let v = Table.cond_var sp.table kk in
-     t.s_log_l <- t.s_log_l -. (((2.0 *. innovation *. delta) +. (delta *. delta)) /. (2.0 *. v)));
-  t.s_next_k <- k + 1
+     t.log_l <- t.log_l -. (((2.0 *. innovation *. delta) +. (delta *. delta)) /. (2.0 *. v)));
+  t.next_k <- k + 1
 
-let stream_log_ratio t = t.s_log_l
-let stream_steps t = t.s_next_k
+let stream_log_ratio t = t.log_l
+let stream_steps t = t.next_k

@@ -31,55 +31,21 @@ type plan
 val plan : table:Ss_fractal.Hosking.Table.t -> profile:Twist.t -> plan
 (** O(n) for zero/constant profiles, O(n^2) once for general ones. *)
 
-val plan_table : plan -> Ss_fractal.Hosking.Table.t
-
 val plan_profile : plan -> Twist.t
 (** The twist profile the plan was built for. *)
 
-type t
-(** Mutable per-replication accumulator. *)
-
-val of_plan : plan -> t
-(** A fresh accumulator (O(1)). *)
-
-val create : table:Ss_fractal.Hosking.Table.t -> twist:float -> t
-(** Convenience for the paper's constant twist:
-    [of_plan (plan ~table ~profile:(Twist.constant twist))]. *)
-
-val reset : t -> unit
-(** Reuse the accumulator for a new replication. *)
-
-val step : t -> k:int -> innovation:float -> unit
-(** Record step [k]'s innovation [eps_k = x_k - E(X_k | past)] (the
-    value actually added to the conditional mean when sampling).
-    Steps must be fed in order 0, 1, 2, ... between resets;
-    @raise Invalid_argument otherwise. *)
-
-val log_ratio : t -> float
-(** Accumulated [log L] up to the last step fed. *)
-
-val ratio : t -> float
-(** [exp (log_ratio t)] — may underflow to 0 for very unlikely
-    paths; prefer {!log_ratio} in arithmetic. *)
-
-val steps : t -> int
-(** Number of steps fed since the last reset. *)
-
 (** {2 Streaming accumulator}
 
-    {!t} indexes the plan's delta table directly and therefore only
-    supports horizons up to the table length. The streaming variant
-    below follows the truncated-Hosking recursion used by
+    The accumulator follows the truncated-Hosking recursion used by
     {!Ss_fractal.Hosking.Block} (and so by [Ss_mux.Source]'s model
-    sources): rows are exact up to
-    [order = Table.length - 1], after which the AR(order) filter is
-    frozen, so [delta_k] and [v_k] for [k >= order] come from the
-    clamped row. Memory stays O(order) for any horizon. For constant
-    profiles the tail delta is a single cached value; for general
-    profiles a ring buffer of the last [order] shifts feeds one
-    conditional-mean evaluation per step. For [k < Table.length] the
-    streaming accumulator agrees exactly with {!t} on the same
-    innovations. *)
+    sources): rows are exact up to [order = Table.length - 1], after
+    which the AR(order) filter is frozen, so [delta_k] and [v_k] for
+    [k >= order] come from the clamped row. Memory stays O(order) for
+    any horizon. For constant profiles the tail delta is a single
+    cached value; for general profiles a ring buffer of the last
+    [order] shifts feeds one conditional-mean evaluation per step.
+    For [k < Table.length] step [k] reads the plan's [delta_k] and
+    the table's [v_k] directly. *)
 
 type stream
 (** Mutable per-replication streaming accumulator. *)
@@ -90,14 +56,18 @@ val stream_of_plan : plan -> stream
 val stream : table:Ss_fractal.Hosking.Table.t -> profile:Twist.t -> stream
 
 val stream_reset : stream -> unit
+(** Reuse the accumulator for a new replication. *)
 
 val stream_step : stream -> k:int -> innovation:float -> unit
-(** Record step [k]'s innovation under the truncated recursion. Steps
-    must be fed in order 0, 1, 2, ... between resets; any [k] is
-    accepted (there is no table-length ceiling).
+(** Record step [k]'s innovation [eps_k = x_k - E(X_k | past)] (the
+    value actually added to the conditional mean when sampling) under
+    the truncated recursion. Steps must be fed in order 0, 1, 2, ...
+    between resets; any [k] is accepted (there is no table-length
+    ceiling).
     @raise Invalid_argument on out-of-order steps. *)
 
 val stream_log_ratio : stream -> float
 (** Accumulated [log L] up to the last step fed. *)
 
 val stream_steps : stream -> int
+(** Number of steps fed since the last reset. *)

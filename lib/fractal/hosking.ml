@@ -1,60 +1,24 @@
 module Rng = Ss_stats.Rng
-module Pool = Ss_parallel.Pool
 module Fft = Ss_fft.Fft
 
 (* Durbin–Levinson step: given phi_{k-1,.} (in [prev], length k-1),
    v_{k-1} and r(.), produce phi_{k,.} into [next] (length k) and
    return v_k. Shared by the table builder and the streaming
    generator. *)
-let check_phi ~k phi_kk =
-  if Float.is_nan phi_kk || abs_float phi_kk >= 1.0 then
-    invalid_arg
-      (Printf.sprintf
-         "Hosking: autocorrelation not positive definite at lag %d (phi=%g)" k phi_kk)
-
 let dl_step ~r ~k ~prev ~next ~v_prev =
   let acc = ref (r k) in
   for j = 1 to k - 1 do
     acc := !acc -. (prev.(j - 1) *. r (k - j))
   done;
   let phi_kk = !acc /. v_prev in
-  check_phi ~k phi_kk;
+  if Float.is_nan phi_kk || abs_float phi_kk >= 1.0 then
+    invalid_arg
+      (Printf.sprintf
+         "Hosking: autocorrelation not positive definite at lag %d (phi=%g)" k phi_kk);
   next.(k - 1) <- phi_kk;
   for j = 1 to k - 1 do
     next.(j - 1) <- prev.(j - 1) -. (phi_kk *. prev.(k - j - 1))
   done;
-  v_prev *. (1.0 -. (phi_kk *. phi_kk))
-
-(* Pool-parallel variant of the step above. The chunk width is a
-   fixed constant, never derived from the pool size: partial sums are
-   per-chunk and combined in chunk order on the calling domain, so
-   the floating-point result is identical for every domain count. *)
-let dot_chunk = 2048
-
-let dl_step_pool pool ~r ~k ~prev ~next ~v_prev =
-  let terms = k - 1 in
-  let chunks = (terms + dot_chunk - 1) / dot_chunk in
-  let partials =
-    Pool.run pool
-      (Array.init chunks (fun c ->
-           fun () ->
-             let jlo = 1 + (c * dot_chunk) in
-             let jhi = Stdlib.min terms (jlo + dot_chunk - 1) in
-             let s = ref 0.0 in
-             for j = jlo to jhi do
-               s := !s +. (Array.unsafe_get prev (j - 1) *. r (k - j))
-             done;
-             !s))
-  in
-  let acc = ref (r k) in
-  Array.iter (fun p -> acc := !acc -. p) partials;
-  let phi_kk = !acc /. v_prev in
-  check_phi ~k phi_kk;
-  next.(k - 1) <- phi_kk;
-  (* Elementwise update: chunking cannot change any value. *)
-  Pool.parallel_for pool ~chunk:dot_chunk ~lo:1 ~hi:terms (fun j ->
-      Array.unsafe_set next (j - 1)
-        (Array.unsafe_get prev (j - 1) -. (phi_kk *. Array.unsafe_get prev (k - j - 1))));
   v_prev *. (1.0 -. (phi_kk *. phi_kk))
 
 (* AR dot product sum_{j=1..k} row.(j-1) * win.(top - j), 4-way
@@ -119,9 +83,8 @@ module Table = struct
 
   let length t = Array.length t.vars
 
-  let build ~pool ~par_cutoff ~acf ~n =
+  let make ~acf ~n =
     if n <= 0 || n > 20_000 then invalid_arg "Hosking.Table.make: n outside [1, 20000]";
-    if par_cutoff < 2 then invalid_arg "Hosking.Table.make: par_cutoff < 2";
     let r = acf.Acf.r in
     let rows = Array.make (Stdlib.max 0 (n - 1)) [||] in
     let vars = Array.make n 1.0 in
@@ -130,22 +93,12 @@ module Table = struct
     for k = 1 to n - 1 do
       let prev = if k = 1 then [||] else rows.(k - 2) in
       let next = Array.make k 0.0 in
-      (* The k-recursion is inherently sequential; only the O(k)
-         inner products of each step fan out, and only once they are
-         long enough to amortize the dispatch. *)
-      (v :=
-         match pool with
-         | Some p when k >= par_cutoff -> dl_step_pool p ~r ~k ~prev ~next ~v_prev:!v
-         | _ -> dl_step ~r ~k ~prev ~next ~v_prev:!v);
+      v := dl_step ~r ~k ~prev ~next ~v_prev:!v;
       rows.(k - 1) <- next;
       vars.(k) <- !v;
       sums.(k) <- Array.fold_left ( +. ) 0.0 next
     done;
     { rows; vars; stds = Array.map sqrt vars; sums }
-
-  let make ~acf ~n = build ~pool:None ~par_cutoff:4096 ~acf ~n
-
-  let make_pooled ?pool ?(par_cutoff = 4096) ~acf ~n () = build ~pool ~par_cutoff ~acf ~n
 
   let check_k t k name =
     if k < 0 || k >= length t then invalid_arg ("Hosking.Table." ^ name ^ ": bad index")

@@ -19,23 +19,11 @@ module Table : sig
   type t
 
   val make : acf:Acf.t -> n:int -> t
-  (** Precompute coefficients for paths of length [n], sequentially
-      ([make_pooled] without a pool).
+  (** Precompute coefficients for paths of length [n] by the
+      sequential Durbin–Levinson recursion.
       @raise Invalid_argument if [n <= 0 || n > 20_000] (the table is
       quadratic in memory) or if the recursion detects an invalid
       (non positive-definite) autocorrelation. *)
-
-  val make_pooled :
-    ?pool:Ss_parallel.Pool.t -> ?par_cutoff:int -> acf:Acf.t -> n:int -> unit -> t
-  (** Like {!make}, but with [pool] the O(k) inner products of each
-      Durbin–Levinson step run across domains once [k >= par_cutoff]
-      (default 4096; the k-recursion itself stays sequential).
-      Partial sums use fixed chunk boundaries combined in order, so
-      the table is bit-identical for every pool size; the
-      [pool = None] path keeps the historical strictly-sequential
-      summation, which may differ from the pooled one in the last
-      ulp. @raise Invalid_argument additionally if
-      [par_cutoff < 2]. *)
 
   val length : t -> int
   (** Maximum path length. *)

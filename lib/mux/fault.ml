@@ -108,7 +108,11 @@ let episodic rng ~rate ~mean_len mk =
       (fun r ->
         R.tag r "ev-episodic";
         Rng.restore rng r;
-        remaining := R.int r);
+        let rem = R.int r in
+        if rem < 0 then
+          raise
+            (Ss_checkpoint.Corrupt (Printf.sprintf "ev-episodic: episode residual %d < 0" rem));
+        remaining := rem);
   }
 
 let compile rng event =
@@ -208,7 +212,10 @@ let wrap ?name ~rng spec (src : Source.t) =
               (fun r ->
                 Source.restore src r;
                 R.tag r "fault-wrap";
-                t := R.int r;
+                let t' = R.int r in
+                if t' < 0 then
+                  raise (Ss_checkpoint.Corrupt (Printf.sprintf "fault-wrap: slot %d < 0" t'));
+                t := t';
                 List.iter (fun ev -> ev.ev_restore r) transforms);
           }
     in

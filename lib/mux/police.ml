@@ -368,19 +368,40 @@ let save_state w s =
   W.int w s.corrupt;
   W.option w Admission.save_descr s.measured
 
-let restore_state r s =
-  s.declared <- Admission.read_descr r;
+(* A snapshot may only hold counters a run can reach: a negative
+   demotion would index below the class table on the next pull, and
+   [filled >= window] would have closed the window already. *)
+let restore_state ~window r s =
+  let declared = Admission.read_descr r in
   Online.restore s.win r;
   Online.Vt.restore s.vt r;
-  s.filled <- R.int r;
-  s.windows <- R.int r;
-  s.consec_bad <- R.int r;
-  s.strikes <- R.int r;
-  s.demote <- R.int r;
-  s.cap <- R.float r;
-  s.evicted <- R.bool r;
-  s.detected_at <- R.int r;
-  s.corrupt <- R.int r;
+  let count what =
+    let v = R.int r in
+    if v < 0 then corrupt "police: %s %d < 0" what v;
+    v
+  in
+  let filled = count "filled" in
+  if filled >= window then corrupt "police: filled %d >= window %d" filled window;
+  let windows = count "windows" in
+  let consec_bad = count "consec_bad" in
+  let strikes = count "strikes" in
+  let demote = count "demote" in
+  let cap = R.float r in
+  if not (cap >= 0.0) then corrupt "police: cap %g is not >= 0" cap;
+  let evicted = R.bool r in
+  let detected_at = R.int r in
+  if detected_at < -1 then corrupt "police: detected_at %d < -1" detected_at;
+  let corrupt_slots = count "corrupt" in
+  s.declared <- declared;
+  s.filled <- filled;
+  s.windows <- windows;
+  s.consec_bad <- consec_bad;
+  s.strikes <- strikes;
+  s.demote <- demote;
+  s.cap <- cap;
+  s.evicted <- evicted;
+  s.detected_at <- detected_at;
+  s.corrupt <- corrupt_slots;
   s.measured <- R.option r Admission.read_descr
 
 let save t w =
@@ -401,7 +422,7 @@ let restore t r =
   let n = R.int r in
   if n <> Array.length t.states then
     corrupt "police: checkpoint has %d sources, policer has %d" n (Array.length t.states);
-  Array.iter (restore_state r) t.states;
+  Array.iter (restore_state ~window:t.config.window r) t.states;
   let k = R.int r in
   if k < 0 then corrupt "police: negative incident count";
   t.incidents <-

@@ -3,6 +3,7 @@ module Quad = Ss_stats.Quadrature
 module Acf = Ss_fractal.Acf
 module Hosking = Ss_fractal.Hosking
 module Davies_harte = Ss_fractal.Davies_harte
+module Plan_cache = Ss_fractal.Plan_cache
 module Transform = Ss_fractal.Transform
 module Gop = Ss_video.Gop
 module Frame = Ss_video.Frame
@@ -19,16 +20,10 @@ type ckpt = { ck_save : W.t -> unit; ck_restore : R.t -> unit }
 (* What [next_blocks] needs to pull an exact streaming model source as
    one lane of a group: its generator, the innovation stream, the
    slots left before a horizon and the marginal transform. These are
-   the very objects its own [pull_block] closes over; that closure is
-   kept too, so a copy of the source with another [pull_block] (a
-   record-update wrapper) is never pulled as a lane. *)
-type lane = {
-  blk : Hosking.Block.t;
-  rng : Rng.t;
-  remaining : int ref;
-  h : Transform.t;
-  own_pull_block : float array -> int array -> int -> int -> int;
-}
+   the very objects its own [pull_block] closes over; [t] is private,
+   so no copy of a source can pair its lane with another
+   [pull_block]. *)
+type lane = { blk : Hosking.Block.t; rng : Rng.t; remaining : int ref; h : Transform.t }
 
 type t = {
   name : string;
@@ -155,211 +150,21 @@ let of_array ?(name = "array") ?(hurst = 0.5) ?(cycle = false) xs =
   make ~pull_block ~ckpt ~name ~mean:(Ss_stats.Descriptive.mean xs)
     ~sigma2:(Ss_stats.Descriptive.variance xs) ~hurst pull
 
-(* One Hosking table (or Davies–Harte plan) per (background ACF,
-   order/length) — N same-model sources share the O(order^2)
-   coefficients.
+(* The table and plan lookups of model sources: the process-wide
+   caches of [Plan_cache], with this module's range checks. *)
+type cache_stats = Plan_cache.stats = { hits : int; misses : int; evictions : int }
 
-   The key is a structural fingerprint of the ACF — its values
-   sampled on a fixed lag grid — not the ACF's display name: two
-   distinct models that happen to share a name must not collide. The
-   table is fully determined by [r] on lags 0..order, so equal
-   fingerprints that still differed beyond the grid could at worst
-   share bit-identical-by-construction coefficients of a different
-   model; 64 sampled lags spread across the whole range make that a
-   measure-zero concern for the smooth ACF families used here. *)
-let fingerprint ~acf ~order =
-  let samples = 64 in
-  let buf = Buffer.create (samples * 8) in
-  for i = 0 to samples - 1 do
-    let k = i * order / (samples - 1) in
-    Buffer.add_int64_le buf (Int64.bits_of_float (acf.Acf.r k))
-  done;
-  Digest.string (Buffer.contents buf)
-
-(* Bounded LRU under a mutex, shared by the table and plan caches.
-   Values are deterministic functions of the key, so eviction only
-   costs a rebuild — a re-fit after eviction is bit-identical (unit
-   tested). Builds happen OUTSIDE the lock (construction is
-   O(order^2)), inserted if-absent on completion, so a cold start
-   never serializes distinct keys behind one Durbin–Levinson fit —
-   N shards warming N different models fit concurrently. Same-key
-   racers do not duplicate the fit either: the first requester
-   registers the key as [pending] and builds; later requesters wait
-   on the condition variable and pick up the winner's entry, so
-   concurrent lookups of one key always yield one shared (physically
-   equal) table. A failed build unregisters the key, wakes the
-   waiters, and lets the next requester retry. *)
-module Cache = struct
-  type 'a entry = { value : 'a; mutable last_use : int }
-
-  type stats = { hits : int; misses : int; evictions : int }
-
-  type 'a t = {
-    tbl : (string * int, 'a entry) Hashtbl.t;
-    pending : (string * int, unit) Hashtbl.t;  (* keys being built *)
-    built : Condition.t;  (* a pending build completed or failed *)
-    mutex : Mutex.t;
-    mutable cap : int;
-    mutable tick : int;
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-  }
-
-  let create cap =
-    {
-      tbl = Hashtbl.create 8;
-      pending = Hashtbl.create 4;
-      built = Condition.create ();
-      mutex = Mutex.create ();
-      cap;
-      tick = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-    }
-
-  let evict_lru_locked t =
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, stamp) when stamp <= e.last_use -> acc
-          | _ -> Some (k, e.last_use))
-        t.tbl None
-    in
-    match victim with
-    | None -> ()
-    | Some (k, _) ->
-      Hashtbl.remove t.tbl k;
-      t.evictions <- t.evictions + 1
-
-  let stats t =
-    Mutex.lock t.mutex;
-    let s = { hits = t.hits; misses = t.misses; evictions = t.evictions } in
-    Mutex.unlock t.mutex;
-    s
-
-  let set_capacity t cap =
-    if cap < 1 then invalid_arg "Source.set_table_cache_capacity: capacity < 1";
-    Mutex.lock t.mutex;
-    t.cap <- cap;
-    while Hashtbl.length t.tbl > t.cap do
-      evict_lru_locked t
-    done;
-    Mutex.unlock t.mutex
-
-  let length t =
-    Mutex.lock t.mutex;
-    let n = Hashtbl.length t.tbl in
-    Mutex.unlock t.mutex;
-    n
-
-  let find_or_build t key build =
-    let claim =
-      Mutex.lock t.mutex;
-      let rec decide () =
-        match Hashtbl.find_opt t.tbl key with
-        | Some e ->
-          t.tick <- t.tick + 1;
-          e.last_use <- t.tick;
-          t.hits <- t.hits + 1;
-          `Hit e.value
-        | None ->
-          if Hashtbl.mem t.pending key then begin
-            (* Someone is fitting this key right now: wait for the
-               completion broadcast instead of burning a domain on a
-               duplicate O(order^2) fit, then re-check (the winner's
-               entry is normally there; if the build failed or the
-               entry was already evicted, retry as a builder). *)
-            Condition.wait t.built t.mutex;
-            decide ()
-          end
-          else begin
-            Hashtbl.add t.pending key ();
-            t.misses <- t.misses + 1;
-            `Build
-          end
-      in
-      let r = decide () in
-      Mutex.unlock t.mutex;
-      r
-    in
-    match claim with
-    | `Hit v -> v
-    | `Build ->
-      let v =
-        try build ()
-        with e ->
-          Mutex.lock t.mutex;
-          Hashtbl.remove t.pending key;
-          Condition.broadcast t.built;
-          Mutex.unlock t.mutex;
-          raise e
-      in
-      Mutex.lock t.mutex;
-      Hashtbl.remove t.pending key;
-      let winner =
-        match Hashtbl.find_opt t.tbl key with
-        | Some e ->
-          (* Unreachable while pending dedup holds (only the claimant
-             inserts this key), kept as insert-if-absent so a racing
-             insert could never shadow an entry. *)
-          t.tick <- t.tick + 1;
-          e.last_use <- t.tick;
-          e.value
-        | None ->
-          while Hashtbl.length t.tbl >= t.cap do
-            evict_lru_locked t
-          done;
-          t.tick <- t.tick + 1;
-          Hashtbl.add t.tbl key { value = v; last_use = t.tick };
-          v
-      in
-      Condition.broadcast t.built;
-      Mutex.unlock t.mutex;
-      winner
-end
-
-let default_cache_capacity = 16
-let table_cache : Hosking.Table.t Cache.t = Cache.create default_cache_capacity
-let plan_cache : Davies_harte.plan Cache.t = Cache.create default_cache_capacity
-let fft_plan_cache : Hosking.Fft_plan.t Cache.t = Cache.create default_cache_capacity
-let set_table_cache_capacity cap = Cache.set_capacity table_cache cap
-let table_cache_length () = Cache.length table_cache
-
-type cache_stats = Cache.stats = { hits : int; misses : int; evictions : int }
-
-let cache_stats () =
-  [
-    ("hosking-table", Cache.stats table_cache);
-    ("davies-harte-plan", Cache.stats plan_cache);
-    ("hosking-fft-plan", Cache.stats fft_plan_cache);
-  ]
+let cache_stats = Plan_cache.stats
 
 let table_for ~acf ~order =
   if order < 1 || order > 19_999 then
     invalid_arg "Source.table_for: order outside [1, 19999]";
-  Cache.find_or_build table_cache
-    (fingerprint ~acf ~order, order)
-    (fun () -> Hosking.Table.make ~acf ~n:(order + 1))
-
-let plan_for ~acf ~n =
-  if n < 1 then invalid_arg "Source.plan_for: n < 1";
-  Cache.find_or_build plan_cache
-    (fingerprint ~acf ~order:n, n)
-    (fun () -> Davies_harte.plan ~acf ~n)
+  Plan_cache.table ~acf ~order
 
 let fft_plan_for ~acf ~order =
   if order < 1 || order > 19_999 then
     invalid_arg "Source.fft_plan_for: order outside [1, 19999]";
-  Cache.find_or_build fft_plan_cache
-    (fingerprint ~acf ~order, order)
-    (* The plan is a pure function of (ACF, order): the table lookup
-       below hits (or populates) the table cache, and the partition
-       spectra derived from any bit-identical re-fit are themselves
-       bit-identical. *)
-    (fun () -> Hosking.Fft_plan.make ~table:(table_for ~acf ~order) ~order)
+  Plan_cache.fft_plan ~acf ~order
 
 let check_horizon who horizon =
   match horizon with
@@ -430,7 +235,7 @@ let bg_filler ~who ~acf ~order ~backend ~horizon ~kernel rng =
             `Hosking for open-ended streaming)")
     in
     if order < 1 || order > 19_999 then invalid_arg (who ^ ": order outside [1, 19999]");
-    let plan = plan_for ~acf ~n in
+    let plan = Plan_cache.dh_plan ~acf ~n in
     (* Deferred so construction consumes no randomness — like the
        Hosking streams, the generator state only advances on pulls.
        An explicit option (not [lazy]) so restore can reset it: the
@@ -522,12 +327,7 @@ let of_background ~name ~fill_bg ?ckpt ?lane ~h model =
   let src =
     make ~pull_block ?ckpt ~name ~mean:model.Model.mean ~sigma2 ~hurst:model.Model.hurst pull
   in
-  let lane =
-    Option.map
-      (fun (blk, rng, remaining) -> { blk; rng; remaining; h; own_pull_block = pull_block })
-      lane
-  in
-  { src with lane }
+  { src with lane = Option.map (fun (blk, rng, remaining) -> { blk; rng; remaining; h }) lane }
 
 let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Exact)
     ?horizon model rng =
@@ -572,16 +372,15 @@ let of_model_twisted ?(name = "model-is") ?(order = 512) ~shift ?probe model rng
   in
   of_background ~name ~fill_bg ~h:model.Model.transform model
 
-(* Lane members are the non-skipped sources that still pull through
-   the [pull_block] their lane descriptor was built with, and whose
-   horizon leaves at least [len] slots; their pulls are exactly
-   [pull_block]'s with [take = len]. *)
+(* Lane members are the non-skipped sources with a lane whose horizon
+   leaves at least [len] slots; their pulls are exactly [pull_block]'s
+   with [take = len]. *)
 let lane_member sources skip len i =
   (not (Array.unsafe_get skip i))
   &&
   let s = Array.unsafe_get sources i in
   match s.lane with
-  | Some l -> s.pull_block == l.own_pull_block && !(l.remaining) >= len
+  | Some l -> !(l.remaining) >= len
   | None -> false
 
 (* The members of [lo, hi) as (index, lane) pairs, or [||] when they

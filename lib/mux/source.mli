@@ -42,7 +42,7 @@ type lane
     generator of innovations, its remaining horizon and its marginal
     transform. Opaque; only {!of_model} builds one. *)
 
-type t = {
+type t = private {
   name : string;
   mean : float;  (** nominal per-slot mean arrival (model bookkeeping) *)
   sigma2 : float;  (** nominal per-slot marginal variance *)
@@ -66,11 +66,12 @@ type t = {
       (** [Some] only for {!of_model} sources on the [`Hosking]
           backend with the [`Exact] kernel; {!make} (and so every
           wrapper built on it — [Fault.wrap], timing or recording
-          wrappers) sets [None]. The lane remembers the [pull_block]
-          it was built with, so a copy [{ s with pull_block = ... }]
-          that keeps it is still pulled through its own
-          [pull_block]. See {!next_blocks}. *)
+          wrappers) sets [None]. The record is private, so a lane
+          always belongs to the [pull_block] it was built with. See
+          {!next_blocks}. *)
 }
+(** A source. Read its fields freely; build one with {!make} or the
+    constructors below. *)
 
 type backend = [ `Hosking | `Davies_harte ]
 (** Background-synthesis backend for model sources. [`Hosking]
@@ -163,9 +164,8 @@ val next_blocks :
     {!Ss_fractal.Hosking.Block.fill_many}, four AR chains in
     lock-step, and then each through its marginal transform. Every
     other source — {!of_array}, FFT or Davies–Harte kernels,
-    {!of_mpeg}, {!of_model_twisted}, any source wrapped by {!make}
-    (fault injection, timing wrappers) and any copy whose
-    [pull_block] was replaced — is pulled on its own through
+    {!of_mpeg}, {!of_model_twisted} and any source wrapped by {!make}
+    (fault injection, timing wrappers) — is pulled on its own through
     {!next_block}, as is a range holding fewer than four
     lane sources or one source twice. The equality assumes sources
     share no mutable state (no generator is shared by two sources),
@@ -265,41 +265,18 @@ val of_mpeg :
 val table_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Table.t
 (** The cached Hosking table backing model sources at this (ACF,
     order) pair — the table a streaming likelihood accumulator must
-    be planned against. Safe to call from any domain: the
-    Durbin–Levinson fit runs outside the cache lock (distinct keys
-    fit concurrently on a cold start — shards warming different
-    models never serialize), and same-key racers wait for the first
-    fit instead of duplicating it, so concurrent lookups of one key
-    return one shared, physically equal table.
+    be planned against. It is {!Ss_fractal.Plan_cache.table}: safe
+    from any domain, keyed by the ACF's values, not its name.
     @raise Invalid_argument if [order < 1] or [order > 19_999]. *)
-
-val plan_for : acf:Ss_fractal.Acf.t -> n:int -> Ss_fractal.Davies_harte.plan
-(** The cached Davies–Harte plan backing [`Davies_harte] model
-    sources at this (ACF, horizon) pair.
-    @raise Invalid_argument if [n < 1] or the ACF is not embeddable
-    at this length (see {!Ss_fractal.Davies_harte.plan}). *)
 
 val fft_plan_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Fft_plan.t
 (** The cached overlap-save convolution plan backing [`Fft]-kernel
-    model sources at this (ACF, order) pair — same cache discipline
-    as {!table_for} (the build itself goes through {!table_for}, so a
-    cold plan lookup may also populate the table cache). Plans are
-    immutable and shared freely across sources and domains.
+    model sources at this (ACF, order) pair
+    ({!Ss_fractal.Plan_cache.fft_plan}). Plans are immutable and
+    shared freely across sources and domains.
     @raise Invalid_argument if [order < 1] or [order > 19_999]. *)
 
-val set_table_cache_capacity : int -> unit
-(** Bound on the number of Hosking tables retained by the process
-    (default 16, least-recently-used eviction). Tables are
-    deterministic functions of their (ACF, order) key, so eviction
-    only costs a rebuild: a re-fit after eviction is bit-identical.
-    Lowering the capacity evicts immediately.
-    @raise Invalid_argument if the capacity is [< 1]. *)
-
-val table_cache_length : unit -> int
-(** Number of Hosking tables currently cached (for tests and
-    memory-budget diagnostics). *)
-
-type cache_stats = { hits : int; misses : int; evictions : int }
+type cache_stats = Ss_fractal.Plan_cache.stats = { hits : int; misses : int; evictions : int }
 (** Cumulative per-cache counters: [hits] lookups served from the
     cache (including waiters who picked up a concurrent builder's
     entry), [misses] lookups that had to build, [evictions] entries
@@ -307,6 +284,7 @@ type cache_stats = { hits : int; misses : int; evictions : int }
 
 val cache_stats : unit -> (string * cache_stats) list
 (** Counters for every process-wide plan/table cache, keyed
-    ["hosking-table"], ["davies-harte-plan"], ["hosking-fft-plan"]. Counters are monotone for the process
-    lifetime — diff two snapshots to measure a phase (the throughput
-    bench prints exactly that). *)
+    ["hosking-table"], ["davies-harte-plan"], ["hosking-fft-plan"]
+    ({!Ss_fractal.Plan_cache.stats}). Counters are monotone for the
+    process lifetime — diff two snapshots to measure a phase (the
+    throughput bench prints exactly that). *)

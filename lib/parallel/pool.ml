@@ -161,8 +161,6 @@ let run t thunks =
 
 let map t f xs = run t (Array.map (fun x () -> f x) xs)
 
-let fold t ~f ~init g xs = Array.fold_left f init (map t g xs)
-
 (* Repeated fan-outs over a fixed index range (the multiplexer's
    per-block source prefetch) build their item closures once instead
    of once per batch; only the per-batch claim/result machinery of
@@ -172,26 +170,3 @@ let static_for t ~n f =
   if n <= 0 then invalid_arg "Pool.static_for: n <= 0";
   let thunks = Array.init n (fun i () -> f i) in
   fun () -> ignore (run t thunks : unit array)
-
-let parallel_for t ?chunk ~lo ~hi f =
-  check_alive t "parallel_for";
-  if hi >= lo then begin
-    let span = hi - lo + 1 in
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Pool.parallel_for: chunk < 1"
-      | None -> Stdlib.max 1 ((span + (4 * t.size) - 1) / (4 * t.size))
-    in
-    let chunks = (span + chunk - 1) / chunk in
-    let thunks =
-      Array.init chunks (fun c ->
-          fun () ->
-            let a = lo + (c * chunk) in
-            let b = Stdlib.min hi (a + chunk - 1) in
-            for i = a to b do
-              f i
-            done)
-    in
-    ignore (run t thunks)
-  end

@@ -5,8 +5,8 @@
     the remaining participant), created once and reused across many
     batches — spawning a domain costs far more than dispatching a
     batch, so the expensive loops of this repository (replication
-    fan-outs, multiplexer source advances, Durbin–Levinson dot
-    products) share one pool per process.
+    fan-outs, multiplexer source advances) share one pool per
+    process.
 
     Every combinator is {e deterministic}: work item [i] always runs
     the same closure, results land in slot [i], and any reduction is
@@ -55,29 +55,13 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map t f xs] is [run] over [fun () -> f xs.(i)]; order
     preserved. *)
 
-val fold : t -> f:('acc -> 'b -> 'acc) -> init:'acc -> ('a -> 'b) -> 'a array -> 'acc
-(** [fold t ~f ~init g xs] maps [g] across the pool, then folds the
-    results with [f] on the calling domain in index order — the
-    combination is deterministic even for non-associative [f]
-    (floating-point sums included). *)
-
 val static_for : t -> n:int -> (int -> unit) -> unit -> unit
 (** [static_for t ~n f] precompiles a batch that runs [f i] once for
-    every [0 <= i < n] (one item per index, like
-    [parallel_for ~chunk:1]) and returns a reusable trigger: calling
-    it dispatches the batch without rebuilding the [n] item closures
-    — for hot loops that fan out over the same range thousands of
+    every [0 <= i < n] (one item per index) and returns a reusable
+    trigger: calling it dispatches the batch without rebuilding the
+    [n] item closures — for hot loops that fan out over the same range thousands of
     times. Same determinism contract as {!run}; [f] must only write
     to disjoint-per-index locations. The trigger must not be invoked
     concurrently with itself or other batches, and raises
     [Invalid_argument] after {!shutdown}.
     @raise Invalid_argument if [n <= 0]. *)
-
-val parallel_for : t -> ?chunk:int -> lo:int -> hi:int -> (int -> unit) -> unit
-(** [parallel_for t ~lo ~hi f] runs [f i] once for every
-    [lo <= i <= hi] (inclusive; empty when [hi < lo]), splitting the
-    range into chunks of [chunk] consecutive indices (default: range
-    split in [4 * size t] pieces). Within a chunk indices run in
-    increasing order on one domain. [f] must only write to
-    disjoint-per-index locations. @raise Invalid_argument if
-    [chunk < 1]. *)

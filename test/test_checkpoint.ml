@@ -806,6 +806,81 @@ let test_corrupt_mux_engine () =
   refuse "served" "NaN served" (resume ~served:nan);
   refuse "served" "negative served" (resume ~served:(-0.5))
 
+(* A hand-written one-source "police" snapshot: every field is well
+   framed, so restore must judge the counters themselves. Before they
+   were checked, a demotion of -5 restored fine and the next policed
+   mux run failed with "index out of bounds". *)
+let test_corrupt_police_counters () =
+  let window = 64 in
+  let descr = { Admission.name = "a"; mean = 1.0; sigma2 = 0.5; hurst = 0.7 } in
+  let payload ~filled ~windows ~consec_bad ~strikes ~demote ~cap ~detected_at ~corrupt w =
+    W.tag w "police";
+    W.int w 1;
+    Admission.save_descr w descr;
+    Online.save (Online.create ()) w;
+    Online.Vt.save (Online.Vt.create ()) w;
+    List.iter (W.int w) [ filled; windows; consec_bad; strikes; demote ];
+    W.float w cap;
+    W.bool w false;
+    W.int w detected_at;
+    W.int w corrupt;
+    W.option w Admission.save_descr None;
+    W.int w 0;
+    W.option w (fun _ () -> ()) None
+  in
+  let restore ?(filled = 0) ?(windows = 0) ?(consec_bad = 0) ?(strikes = 0) ?(demote = 0)
+      ?(cap = infinity) ?(detected_at = -1) ?(corrupt = 0) () =
+    let p = Police.create ~config:{ Police.default with window } [| descr |] in
+    Police.restore p
+      (framed
+         (payload ~filled ~windows ~consec_bad ~strikes ~demote ~cap ~detected_at ~corrupt));
+    p
+  in
+  let p =
+    restore ~filled:(window - 1) ~windows:9 ~consec_bad:2 ~strikes:2 ~demote:3 ~cap:4.5
+      ~detected_at:0 ~corrupt:7 ()
+  in
+  Alcotest.(check int) "demotion restored" 3 (Police.demotion p 0);
+  let refuse field name f = raises_corrupt ~contains:field name (fun () -> ignore (f () : Police.t)) in
+  refuse "filled" "negative filled" (restore ~filled:(-1));
+  refuse "filled" "filled = window" (restore ~filled:window);
+  refuse "windows" "negative windows" (restore ~windows:(-1));
+  refuse "consec_bad" "negative consec_bad" (restore ~consec_bad:(-1));
+  refuse "strikes" "negative strikes" (restore ~strikes:(-2));
+  refuse "demote" "negative demotion" (restore ~demote:(-5));
+  refuse "cap" "negative cap" (restore ~cap:(-1.0));
+  refuse "cap" "NaN cap" (restore ~cap:nan);
+  refuse "detected_at" "detected_at below -1" (restore ~detected_at:(-2));
+  refuse "corrupt" "negative corrupt count" (restore ~corrupt:(-1))
+
+(* The fault wrapper's slot counter and a burst's episode residual,
+   over a cycling array source. *)
+let test_corrupt_fault_counters () =
+  let payload ~slot ~residual w =
+    W.tag w "source";
+    W.string w "a!";
+    W.tag w "source";
+    W.string w "a";
+    W.tag w "array-src";
+    W.int w 0;
+    W.tag w "fault-wrap";
+    W.int w slot;
+    W.tag w "ev-episodic";
+    Rng.save (Rng.create ~seed:1) w;
+    W.int w residual
+  in
+  let restore ?(slot = 0) ?(residual = 0) () =
+    let src =
+      Fault.wrap ~rng:(Rng.create ~seed:3)
+        [ Fault.Burst { rate = 0.1; mean_len = 4.0; amplitude = 2.0 } ]
+        (Source.of_array ~name:"a" ~cycle:true [| 1.0; 2.0 |])
+    in
+    Source.restore src (framed (payload ~slot ~residual))
+  in
+  restore ~slot:17 ~residual:3 ();
+  raises_corrupt ~contains:"fault-wrap" "negative slot" (restore ~slot:(-1));
+  raises_corrupt ~contains:"ev-episodic" "negative episode residual" (restore ~residual:(-4))
+
 let prop_mux_snapshot_resume =
   QCheck.Test.make ~name:"mux snapshot -> restore -> bitwise-equal report" ~count:15
     QCheck.(triple (int_range 1 1000) (int_range 220 1200) (int_range 16 500))
@@ -1094,6 +1169,8 @@ let () =
           tc "lane groups resume across layouts" test_mux_lanes_resume_identity;
           tc "refusals" test_mux_checkpoint_refusals;
           tc "engine bad counters" test_corrupt_mux_engine;
+          tc "police bad counters" test_corrupt_police_counters;
+          tc "fault-wrap bad counters" test_corrupt_fault_counters;
         ] );
       ( "abr",
         [

@@ -68,12 +68,13 @@ let test_fit_produces_sane_model () =
   close "mean recorded" (D.mean (Lazy.force small_intra).Trace.sizes) model.Model.mean
 
 let test_fit_compensated_model_is_generatable () =
-  (* The compensated background ACF must be accepted by both exact
-     generators — i.e. it stays positive definite. *)
+  (* The compensated background ACF must be accepted by the
+     Durbin–Levinson table and by the Davies–Harte embedding — i.e. it
+     stays positive definite. *)
   let model, _ = Lazy.force small_fit in
-  let x = Generate.background model ~n:2000 Generate.Hosking_stream (Rng.create ~seed:1) in
-  Alcotest.(check int) "hosking length" 2000 (Array.length x);
-  let y = Generate.background model ~n:2000 Generate.Davies_harte (Rng.create ~seed:2) in
+  let t = Generate.table model ~n:2000 in
+  Alcotest.(check int) "hosking table length" 2000 (Ss_fractal.Hosking.Table.length t);
+  let y = Generate.background model ~n:2000 (Rng.create ~seed:2) in
   Alcotest.(check int) "dh length" 2000 (Array.length y)
 
 let test_fit_diag_adopted_between_estimates () =
@@ -146,7 +147,7 @@ let test_generate_foreground_marginal () =
      ~n^{H-1}); average the median over independent paths. *)
   let medians =
     List.init 6 (fun i ->
-        let y = Generate.foreground model ~n:8192 Generate.Davies_harte (Rng.create ~seed:(40 + i)) in
+        let y = Generate.foreground model ~n:8192 (Rng.create ~seed:(40 + i)) in
         Array.iter
           (fun v ->
             if v < lo -. 1.0 || v > hi +. 1.0 then
@@ -167,12 +168,29 @@ let test_generate_table_cached () =
   Alcotest.(check int) "table length" 256 (Ss_fractal.Hosking.Table.length t1)
 
 let test_generate_table_reuse_in_background () =
+  (* One cache serves the importance sampler and the model sources: a
+     table of length n is the sources' table at order n - 1. *)
   let model, _ = Lazy.force small_fit in
   let table = Generate.table model ~n:128 in
-  let x = Generate.background model ~n:100 (Generate.Hosking_table table) (Rng.create ~seed:5) in
-  Alcotest.(check int) "shorter than table ok" 100 (Array.length x);
-  raises_invalid "table too short" (fun () ->
-      ignore (Generate.background model ~n:200 (Generate.Hosking_table table) (Rng.create ~seed:5)))
+  let shared = Ss_fractal.Plan_cache.table ~acf:(Model.background_acf model) ~order:127 in
+  if table != shared then Alcotest.fail "Generate.table and Plan_cache.table differ"
+
+let test_generate_table_keyed_by_acf () =
+  (* Two background ACFs that share a name must not share a table: a
+     cache keyed by name would return the first model's table here. *)
+  let m, _ = Lazy.force small_fit in
+  let bg = Model.background_acf m in
+  let m2 = Model.with_background m (Acf.of_fun ~name:bg.Acf.name (Acf.fgn ~h:0.6).Acf.r) in
+  let t1 = Generate.table m ~n:200 in
+  let t2 = Generate.table m2 ~n:200 in
+  let fresh = Ss_fractal.Hosking.Table.make ~acf:(Model.background_acf m2) ~n:200 in
+  if t1 == t2 then Alcotest.fail "same table for two ACFs sharing a name";
+  for k = 0 to 199 do
+    let got = Ss_fractal.Hosking.Table.cond_var t2 k in
+    let want = Ss_fractal.Hosking.Table.cond_var fresh k in
+    if Int64.bits_of_float got <> Int64.bits_of_float want then
+      Alcotest.failf "cond_var %d: cached %g, fresh %g" k got want
+  done
 
 let test_generate_arrival_fn_matches_transform () =
   let model, _ = Lazy.force small_fit in
@@ -186,8 +204,8 @@ let test_generate_arrival_fn_matches_transform () =
 
 let test_generate_invalid () =
   let model, _ = Lazy.force small_fit in
-  raises_invalid "n = 0" (fun () ->
-      ignore (Generate.background model ~n:0 Generate.Hosking_stream (Rng.create ~seed:1)))
+  raises_invalid "n = 0" (fun () -> ignore (Generate.background model ~n:0 (Rng.create ~seed:1)));
+  raises_invalid "table n = 0" (fun () -> ignore (Generate.table model ~n:0))
 
 (* ------------------------------------------------------------------ *)
 (* Iterative refinement (the paper's Section-1 loop)                    *)
@@ -208,7 +226,7 @@ let test_refine_reduces_residual () =
       Alcotest.failf "refinement worsened the residual: %.4f -> %.4f" first last
   | [] -> Alcotest.fail "no residual history");
   (* The refined model must still be generatable. *)
-  let x = Generate.background refined ~n:2048 Generate.Davies_harte (Rng.create ~seed:61) in
+  let x = Generate.background refined ~n:2048 (Rng.create ~seed:61) in
   Alcotest.(check int) "refined model generates" 2048 (Array.length x)
 
 let test_refine_invalid () =
@@ -264,21 +282,6 @@ let test_mpeg_generate_acf_periodicity () =
   let r = D.acf synth.Trace.sizes ~max_lag:14 in
   if not (r.(12) > r.(11) && r.(12) > r.(13)) then
     Alcotest.failf "no GOP peak in synthetic ACF: %.3f %.3f %.3f" r.(11) r.(12) r.(13)
-
-let test_mpeg_hosking_variant_consistent () =
-  (* Different generators, same distribution: compare medians averaged
-     over independent paths (single LRD paths wander). *)
-  let m = Lazy.force mpeg_model in
-  let avg gen =
-    let ms =
-      List.init 4 (fun i -> D.median (gen (Rng.create ~seed:(50 + i))).Trace.sizes)
-    in
-    List.fold_left ( +. ) 0.0 ms /. 4.0
-  in
-  let ma = avg (fun rng -> Mpeg.generate m ~n:4096 rng) in
-  let mb = avg (fun rng -> Mpeg.generate_hosking m ~n:4096 rng) in
-  if abs_float (ma -. mb) /. ma > 0.3 then
-    Alcotest.failf "generator medians disagree: %.0f vs %.0f" ma mb
 
 let test_mpeg_arrival_fn_kind_dependence () =
   let m = Lazy.force mpeg_model in
@@ -361,6 +364,7 @@ let () =
           tc "foreground marginal" test_generate_foreground_marginal;
           tc "table cached" test_generate_table_cached;
           tc "table reuse" test_generate_table_reuse_in_background;
+          tc "table keyed by acf" test_generate_table_keyed_by_acf;
           tc "arrival fn" test_generate_arrival_fn_matches_transform;
           tc "invalid" test_generate_invalid;
         ] );
@@ -369,7 +373,6 @@ let () =
           tc "fit structure" test_mpeg_fit_structure;
           tc "generate gop structure" test_mpeg_generate_gop_structure;
           tc "acf periodicity" test_mpeg_generate_acf_periodicity;
-          tc "hosking variant" test_mpeg_hosking_variant_consistent;
           tc "arrival fn kind dependence" test_mpeg_arrival_fn_kind_dependence;
           tc "background table" test_mpeg_background_table;
         ] );

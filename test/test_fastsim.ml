@@ -22,6 +22,7 @@ let raises_invalid msg f =
 
 let white_table n = Hosking.Table.make ~acf:Acf.white_noise ~n
 let fgn_table ?(h = 0.7) n = Hosking.Table.make ~acf:(Acf.fgn ~h) ~n
+let constant_stream table twist = Likelihood.stream ~table ~profile:(Twist.constant twist)
 
 (* ------------------------------------------------------------------ *)
 (* Likelihood                                                           *)
@@ -29,13 +30,13 @@ let fgn_table ?(h = 0.7) n = Hosking.Table.make ~acf:(Acf.fgn ~h) ~n
 
 let test_likelihood_zero_twist_is_one () =
   let table = fgn_table 50 in
-  let lik = Likelihood.create ~table ~twist:0.0 in
+  let lik = constant_stream table 0.0 in
   let rng = Rng.create ~seed:1 in
   for k = 0 to 49 do
-    Likelihood.step lik ~k ~innovation:(Rng.gaussian rng)
+    Likelihood.stream_step lik ~k ~innovation:(Rng.gaussian rng)
   done;
-  close "log L = 0 at zero twist" 0.0 (Likelihood.log_ratio lik);
-  close "L = 1 at zero twist" 1.0 (Likelihood.ratio lik)
+  close "log L = 0 at zero twist" 0.0 (Likelihood.stream_log_ratio lik);
+  close "L = 1 at zero twist" 1.0 (exp (Likelihood.stream_log_ratio lik))
 
 let test_likelihood_first_step_closed_form () =
   (* For iid N(0,1), step 0 has delta = m*, v = 1:
@@ -43,12 +44,12 @@ let test_likelihood_first_step_closed_form () =
      eps = x_0 (the untwisted draw). *)
   let table = white_table 10 in
   let twist = 1.5 in
-  let lik = Likelihood.create ~table ~twist in
+  let lik = constant_stream table twist in
   let eps = 0.37 in
-  Likelihood.step lik ~k:0 ~innovation:eps;
+  Likelihood.stream_step lik ~k:0 ~innovation:eps;
   close ~eps:1e-12 "Eq 48"
     (-.((2.0 *. eps *. twist) +. (twist *. twist)) /. 2.0)
-    (Likelihood.log_ratio lik)
+    (Likelihood.stream_log_ratio lik)
 
 let test_likelihood_white_noise_product () =
   (* For iid noise the likelihood ratio is the product of per-sample
@@ -56,7 +57,7 @@ let test_likelihood_white_noise_product () =
   let n = 20 in
   let table = white_table n in
   let twist = 0.8 in
-  let lik = Likelihood.create ~table ~twist in
+  let lik = constant_stream table twist in
   let rng = Rng.create ~seed:2 in
   let direct = ref 0.0 in
   for k = 0 to n - 1 do
@@ -67,25 +68,25 @@ let test_likelihood_white_noise_product () =
       !direct
       +. Ss_stats.Special.log_normal_pdf ~mean:0.0 ~var:1.0 x'
       -. Ss_stats.Special.log_normal_pdf ~mean:twist ~var:1.0 x';
-    Likelihood.step lik ~k ~innovation:x
+    Likelihood.stream_step lik ~k ~innovation:x
   done;
-  close ~eps:1e-10 "iid product" !direct (Likelihood.log_ratio lik)
+  close ~eps:1e-10 "iid product" !direct (Likelihood.stream_log_ratio lik)
 
 let test_likelihood_reset () =
   let table = white_table 5 in
-  let lik = Likelihood.create ~table ~twist:1.0 in
-  Likelihood.step lik ~k:0 ~innovation:0.5;
-  Alcotest.(check int) "steps" 1 (Likelihood.steps lik);
-  Likelihood.reset lik;
-  Alcotest.(check int) "steps after reset" 0 (Likelihood.steps lik);
-  close "log L cleared" 0.0 (Likelihood.log_ratio lik)
+  let lik = constant_stream table 1.0 in
+  Likelihood.stream_step lik ~k:0 ~innovation:0.5;
+  Alcotest.(check int) "steps" 1 (Likelihood.stream_steps lik);
+  Likelihood.stream_reset lik;
+  Alcotest.(check int) "steps after reset" 0 (Likelihood.stream_steps lik);
+  close "log L cleared" 0.0 (Likelihood.stream_log_ratio lik)
 
 let test_likelihood_order_enforced () =
   let table = white_table 5 in
-  let lik = Likelihood.create ~table ~twist:1.0 in
-  raises_invalid "must start at 0" (fun () -> Likelihood.step lik ~k:1 ~innovation:0.0);
-  Likelihood.step lik ~k:0 ~innovation:0.0;
-  raises_invalid "no skipping" (fun () -> Likelihood.step lik ~k:2 ~innovation:0.0)
+  let lik = constant_stream table 1.0 in
+  raises_invalid "must start at 0" (fun () -> Likelihood.stream_step lik ~k:1 ~innovation:0.0);
+  Likelihood.stream_step lik ~k:0 ~innovation:0.0;
+  raises_invalid "no skipping" (fun () -> Likelihood.stream_step lik ~k:2 ~innovation:0.0)
 
 let test_likelihood_expectation_is_one () =
   (* E_X'[L] = 1: average the likelihood ratio over twisted paths. *)
@@ -96,42 +97,21 @@ let test_likelihood_expectation_is_one () =
   let reps = 20_000 in
   let sum = ref 0.0 in
   for _ = 1 to reps do
-    let lik = Likelihood.create ~table ~twist in
+    let lik = constant_stream table twist in
     let xs = Array.make n 0.0 in
     for k = 0 to n - 1 do
       let m = Hosking.Table.cond_mean table xs k in
       let innovation = Hosking.Table.innovation_std table k *. Rng.gaussian rng in
       xs.(k) <- m +. innovation;
-      Likelihood.step lik ~k ~innovation
+      Likelihood.stream_step lik ~k ~innovation
     done;
-    sum := !sum +. Likelihood.ratio lik
+    sum := !sum +. exp (Likelihood.stream_log_ratio lik)
   done;
   close ~eps:0.05 "E[L] = 1" 1.0 (!sum /. float_of_int reps)
 
 (* ------------------------------------------------------------------ *)
 (* Likelihood: streaming (truncated-Hosking) accumulator               *)
 (* ------------------------------------------------------------------ *)
-
-let test_likelihood_stream_matches_plan_prefix () =
-  (* Within the table length the streaming accumulator follows the
-     exact recursion, so it must agree with the table-indexed one on
-     identical innovations — for both constant and general profiles. *)
-  let n = 40 in
-  let table = fgn_table ~h:0.8 n in
-  List.iter
-    (fun profile ->
-      let plan = Likelihood.plan ~table ~profile in
-      let lik = Likelihood.of_plan plan in
-      let s = Likelihood.stream_of_plan plan in
-      let rng = Rng.create ~seed:9 in
-      for k = 0 to n - 1 do
-        let innovation = Rng.gaussian rng in
-        Likelihood.step lik ~k ~innovation;
-        Likelihood.stream_step s ~k ~innovation
-      done;
-      close ~eps:1e-12 "prefix log L" (Likelihood.log_ratio lik) (Likelihood.stream_log_ratio s);
-      Alcotest.(check int) "steps" n (Likelihood.stream_steps s))
-    [ Twist.constant 0.9; Twist.ramp ~until:25 ~peak:1.2 ]
 
 let test_likelihood_stream_constant_equals_fn_profile () =
   (* A Fn profile that happens to be constant must accumulate exactly
@@ -397,6 +377,52 @@ let test_is_deterministic_given_seed () =
   let b = Is.estimate cfg ~replications:500 (Rng.create ~seed:13) in
   close "reproducible" a.Mc.p b.Mc.p
 
+(* Fixed-seed pins of the estimator's output, recorded while the
+   Hosking walk still fed the table-indexed likelihood accumulator:
+   moving it onto the streaming accumulator must not change a bit of
+   [p] or of any replication's log weight. *)
+let test_is_fixed_seed_pins () =
+  let table = fgn_table 200 in
+  let cfg ?profile ?full_start ?backend twist =
+    Is.make_config ~table ~arrival:identity_arrival ~service:0.4 ~buffer:5.0 ~horizon:200
+      ~twist ?profile ?full_start ?backend ()
+  in
+  let plan = Ss_fractal.Davies_harte.plan ~acf:(Acf.fgn ~h:0.7) ~n:200 in
+  let digest_bits xs =
+    let b = Buffer.create (8 * Array.length xs) in
+    Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) xs;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (name, c, seed, p_hex, digest) ->
+      let e = Is.estimate c ~replications:300 (Rng.create ~seed) in
+      let log_weights =
+        Ss_parallel.Fanout.map ~rng:(Rng.create ~seed) ~n:300 (fun sub _ ->
+            (Is.replicate c sub).Is.log_weight)
+      in
+      let got = Int64.bits_of_float e.Mc.p in
+      if got <> Int64.of_string ("0x" ^ p_hex) then
+        Alcotest.failf "%s: p bits %Lx, want %s" name got p_hex;
+      Alcotest.(check string) (name ^ " log-weight digest") digest (digest_bits log_weights))
+    [
+      ("constant", cfg 0.8, 300, "3fc5c44262b66130", "7c27009b68f596cd5d3079863487c5b3");
+      ( "ramp",
+        cfg ~profile:(Twist.ramp ~until:150 ~peak:1.2) 0.0,
+        301,
+        "3fc68bfe5c5e939a",
+        "b055c82ffde7f27a0ef3702b3c969ae2" );
+      ( "full_start",
+        cfg ~full_start:true 0.6,
+        302,
+        "3fc602a601b23d5d",
+        "76c89362eafa245318d3976869daf472" );
+      ( "davies-harte",
+        cfg ~backend:(`Davies_harte plan) 0.0,
+        303,
+        "3fd0da740da740da",
+        "0719a742d934b3e94d98184389c42867" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Twist profiles                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -428,15 +454,15 @@ let test_likelihood_profile_matches_constant () =
   (* A Fn profile that happens to be constant must produce the same
      likelihood as the Constant fast path. *)
   let table = fgn_table 40 in
-  let a = Likelihood.of_plan (Likelihood.plan ~table ~profile:(Twist.constant 0.9)) in
-  let b = Likelihood.of_plan (Likelihood.plan ~table ~profile:(Twist.of_fun (fun _ -> 0.9))) in
+  let a = Likelihood.stream_of_plan (Likelihood.plan ~table ~profile:(Twist.constant 0.9)) in
+  let b = Likelihood.stream_of_plan (Likelihood.plan ~table ~profile:(Twist.of_fun (fun _ -> 0.9))) in
   let rng = Rng.create ~seed:40 in
   for k = 0 to 39 do
     let e = Rng.gaussian rng in
-    Likelihood.step a ~k ~innovation:e;
-    Likelihood.step b ~k ~innovation:e
+    Likelihood.stream_step a ~k ~innovation:e;
+    Likelihood.stream_step b ~k ~innovation:e
   done;
-  close ~eps:1e-12 "fast path = general path" (Likelihood.log_ratio a) (Likelihood.log_ratio b)
+  close ~eps:1e-12 "fast path = general path" (Likelihood.stream_log_ratio a) (Likelihood.stream_log_ratio b)
 
 let test_likelihood_ramp_expectation_one () =
   (* E_X'[L] = 1 must hold for any deterministic profile. *)
@@ -448,15 +474,15 @@ let test_likelihood_ramp_expectation_one () =
   let reps = 20_000 in
   let sum = ref 0.0 in
   for _ = 1 to reps do
-    let lik = Likelihood.of_plan plan in
+    let lik = Likelihood.stream_of_plan plan in
     let xs = Array.make n 0.0 in
     for k = 0 to n - 1 do
       let m = Ss_fractal.Hosking.Table.cond_mean table xs k in
       let innovation = Ss_fractal.Hosking.Table.innovation_std table k *. Rng.gaussian rng in
       xs.(k) <- m +. innovation;
-      Likelihood.step lik ~k ~innovation
+      Likelihood.stream_step lik ~k ~innovation
     done;
-    sum := !sum +. Likelihood.ratio lik
+    sum := !sum +. exp (Likelihood.stream_log_ratio lik)
   done;
   close ~eps:0.05 "E[L] = 1 under ramp twist" 1.0 (!sum /. float_of_int reps)
 
@@ -551,7 +577,6 @@ let () =
           tc "reset" test_likelihood_reset;
           tc "order enforced" test_likelihood_order_enforced;
           tc "E[L] = 1" test_likelihood_expectation_is_one;
-          tc "stream = plan prefix" test_likelihood_stream_matches_plan_prefix;
           tc "stream constant = fn" test_likelihood_stream_constant_equals_fn_profile;
           tc "stream E[L] = 1" test_likelihood_stream_expectation_is_one;
           tc "stream reset and order" test_likelihood_stream_reset_and_order;
@@ -570,6 +595,7 @@ let () =
           tc "config validation" test_is_config_validation;
           tc "Davies-Harte backend" test_is_davies_harte_backend;
           tc "deterministic" test_is_deterministic_given_seed;
+          tc "fixed-seed pins" test_is_fixed_seed_pins;
         ] );
       ( "twist",
         [

@@ -45,7 +45,7 @@ let test_pipeline_acf_match_short_lags () =
      share only in expectation). *)
   let model, _ = Lazy.force fitted in
   let sizes = (Lazy.force reference).Trace.sizes in
-  let synth = Generate.foreground model ~n:32_768 Generate.Davies_harte (Rng.create ~seed:21) in
+  let synth = Generate.foreground model ~n:32_768 (Rng.create ~seed:21) in
   let re = D.acf sizes ~max_lag:150 in
   let rs = D.acf synth ~max_lag:150 in
   List.iter
@@ -71,7 +71,7 @@ let test_pipeline_marginal_match () =
     List.concat_map
       (fun seed ->
         Array.to_list
-          (Generate.foreground model ~n:32_768 Generate.Davies_harte (Rng.create ~seed)))
+          (Generate.foreground model ~n:32_768 (Rng.create ~seed)))
       [ 22; 122; 222; 322 ]
     |> Array.of_list
   in
@@ -82,15 +82,15 @@ let test_pipeline_hurst_preserved () =
   (* The synthetic trace must inherit the adopted Hurst parameter
      (Appendix A invariance through the whole pipeline). *)
   let model, _ = Lazy.force fitted in
-  let synth = Generate.foreground model ~n:32_768 Generate.Davies_harte (Rng.create ~seed:23) in
+  let synth = Generate.foreground model ~n:32_768 (Rng.create ~seed:23) in
   let h = (Hurst.variance_time synth).Hurst.h in
   if abs_float (h -. model.Model.hurst) > 0.15 then
     Alcotest.failf "synthetic H %.3f far from adopted %.2f" h model.Model.hurst
 
 let test_pipeline_deterministic () =
   let model, _ = Lazy.force fitted in
-  let a = Generate.foreground model ~n:1024 Generate.Davies_harte (Rng.create ~seed:24) in
-  let b = Generate.foreground model ~n:1024 Generate.Davies_harte (Rng.create ~seed:24) in
+  let a = Generate.foreground model ~n:1024 (Rng.create ~seed:24) in
+  let b = Generate.foreground model ~n:1024 (Rng.create ~seed:24) in
   Array.iteri (fun i v -> close "reproducible pipeline" v b.(i)) a
 
 (* ------------------------------------------------------------------ *)

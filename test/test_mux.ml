@@ -8,6 +8,7 @@ module D = Ss_stats.Descriptive
 module Online = Ss_stats.Online_stats
 module Acf = Ss_fractal.Acf
 module Hosking = Ss_fractal.Hosking
+module Plan_cache = Ss_fractal.Plan_cache
 module Trace_sim = Ss_queueing.Trace_sim
 module Lindley = Ss_queueing.Lindley
 module Mc = Ss_queueing.Mc
@@ -519,7 +520,7 @@ let test_source_dh_backend_statistics () =
   let l = exp (-.lambda *. float_of_int knee) *. (float_of_int knee ** beta) in
   let acf = Acf.composite ~knee ~lambda ~l ~beta in
   let n = 1 lsl 17 in
-  let plan = Source.plan_for ~acf ~n in
+  let plan = Plan_cache.dh_plan ~acf ~n in
   (* The background is exactly zero-mean by construction, so the
      uncentered estimator avoids the O(n^{2H-2}) wandering-mean bias
      of the centered sample ACF. *)
@@ -591,9 +592,9 @@ let test_source_cache_stats_counters () =
      exactly one eviction. Deltas, not absolutes — the caches are
      process-wide and other tests have already used them. *)
   let acf = Acf.fgn ~h:0.6634 in
-  Source.set_table_cache_capacity 1;
+  Plan_cache.set_table_capacity 1;
   Fun.protect
-    ~finally:(fun () -> Source.set_table_cache_capacity 16)
+    ~finally:(fun () -> Plan_cache.set_table_capacity 16)
     (fun () ->
       let (_ : Hosking.Table.t) = Source.table_for ~acf ~order:21 in
       let s0 = List.assoc "hosking-table" (Source.cache_stats ()) in
@@ -618,21 +619,21 @@ let test_source_table_cache_lru_eviction () =
   let acf = Ss_core.Model.background_acf m in
   let take n s = Array.init n (fun _ -> fst (Source.next s)) in
   let before = take 64 (Source.of_model ~order:24 m (Rng.create ~seed:4315)) in
-  Source.set_table_cache_capacity 1;
+  Plan_cache.set_table_capacity 1;
   Fun.protect
-    ~finally:(fun () -> Source.set_table_cache_capacity 16)
+    ~finally:(fun () -> Plan_cache.set_table_capacity 16)
     (fun () ->
-      Alcotest.(check int) "lowering evicts immediately" 1 (Source.table_cache_length ());
+      Alcotest.(check int) "lowering evicts immediately" 1 (Plan_cache.table_count ());
       (* Bring in a different (acf, order) key, evicting order 24. *)
       let (_ : Hosking.Table.t) = Source.table_for ~acf ~order:48 in
-      Alcotest.(check int) "capacity bound respected" 1 (Source.table_cache_length ());
+      Alcotest.(check int) "capacity bound respected" 1 (Plan_cache.table_count ());
       let after = take 64 (Source.of_model ~order:24 m (Rng.create ~seed:4315)) in
       Array.iteri
         (fun i x ->
           if bits x <> bits before.(i) then
             Alcotest.failf "slot %d differs after eviction + re-fit" i)
         after);
-  raises_invalid "capacity < 1" (fun () -> Source.set_table_cache_capacity 0)
+  raises_invalid "capacity < 1" (fun () -> Plan_cache.set_table_capacity 0)
 
 let test_source_table_cache_concurrent_lookups () =
   (* Cold-start contention: the Durbin-Levinson fit happens outside
@@ -641,13 +642,13 @@ let test_source_table_cache_concurrent_lookups () =
      from many domains must all return the one physically-shared
      table and grow the cache by exactly one entry, while distinct
      keys fit concurrently into distinct entries. *)
-  Source.set_table_cache_capacity 64;
+  Plan_cache.set_table_capacity 64;
   Fun.protect
-    ~finally:(fun () -> Source.set_table_cache_capacity 16)
+    ~finally:(fun () -> Plan_cache.set_table_capacity 16)
     (fun () ->
       let acf = Acf.fgn ~h:0.7123 in
       let order = 96 in
-      let len0 = Source.table_cache_length () in
+      let len0 = Plan_cache.table_count () in
       let started = Atomic.make 0 in
       let lookup () =
         Atomic.incr started;
@@ -665,12 +666,12 @@ let test_source_table_cache_concurrent_lookups () =
         (fun i t ->
           if not (t == all.(0)) then Alcotest.failf "lookup %d returned a distinct table" i)
         all;
-      Alcotest.(check int) "one entry added" (len0 + 1) (Source.table_cache_length ());
+      Alcotest.(check int) "one entry added" (len0 + 1) (Plan_cache.table_count ());
       let d1 = Domain.spawn (fun () -> Source.table_for ~acf:(Acf.fgn ~h:0.81) ~order:64) in
       let t2 = Source.table_for ~acf:(Acf.fgn ~h:0.63) ~order:64 in
       let t1 = Domain.join d1 in
       if t1 == t2 then Alcotest.fail "distinct keys shared a table";
-      Alcotest.(check int) "two more entries" (len0 + 3) (Source.table_cache_length ()))
+      Alcotest.(check int) "two more entries" (len0 + 3) (Plan_cache.table_count ()))
 
 (* ------------------------------------------------------------------ *)
 (* Mux specification: the straight-line bit-identity oracle             *)
@@ -1543,9 +1544,8 @@ let test_mux_lanes_bit_identity () =
   (* Exact model sources are pulled as lock-step lane groups inside
      each 32-source tile of a shard. Interleave them with sources that
      must stay per-source — array replays, fault-wrapped model
-     sources, a model source copied with its pulls replaced, a horizon
-     that runs out mid-run and one that ends on a block edge, a
-     departing array — and the engine must still equal
+     sources, a horizon that runs out mid-run and one that ends on a
+     block edge, a departing array — and the engine must still equal
      the straight-line specification at every shard count, with and
      without a pool. 5000 slots span three staging blocks. *)
   let m = Lazy.force small_model in
@@ -1564,22 +1564,6 @@ let test_mux_lanes_bit_identity () =
         | 6 when i = 6 -> Source.of_model ~name ~order ~horizon:3000 m r
         | 6 when i = 14 -> Source.of_model ~name ~order ~horizon:4096 m r
         | 6 when i = 22 -> Source.of_array ~name (Array.init 2500 float_of_int)
-        | 7 when i = 15 ->
-          (* A record-update wrapper keeps the lane descriptor; it
-             must still be pulled through its own [pull_block]. *)
-          let s = Source.of_model ~name ~order m r in
-          let pull () =
-            let w, c = s.Source.pull () in
-            (2.0 *. w, c)
-          in
-          let pull_block w c off len =
-            let f = s.Source.pull_block w c off len in
-            for j = off to off + f - 1 do
-              w.(j) <- 2.0 *. w.(j)
-            done;
-            f
-          in
-          { s with Source.pull; pull_block }
         | _ -> Source.of_model ~name ~order m r)
   in
   let service = 1.1 *. float_of_int n *. m.Ss_core.Model.mean in

@@ -109,38 +109,6 @@ let test_pool_exception_propagates () =
   let ys = Pool.run p (Array.init 8 (fun i () -> i + 1)) in
   Alcotest.(check (array int)) "usable after failure" (Array.init 8 (fun i -> i + 1)) ys
 
-let test_pool_fold_order () =
-  (* String concatenation is non-commutative: any reduction
-     reordering would change the result. *)
-  let xs = Array.init 50 (fun i -> i) in
-  let expect = Array.fold_left (fun acc i -> acc ^ "," ^ string_of_int i) "" xs in
-  List.iter
-    (fun d ->
-      let p = Pool.create ~domains:d in
-      Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-      let got =
-        Pool.fold p ~f:(fun acc s -> acc ^ "," ^ s) ~init:"" string_of_int xs
-      in
-      Alcotest.(check string) (Printf.sprintf "domains=%d" d) expect got)
-    [ 1; 2; 4 ]
-
-let test_parallel_for_covers_range () =
-  List.iter
-    (fun (d, chunk) ->
-      let p = Pool.create ~domains:d in
-      Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-      let lo = 3 and hi = 202 in
-      let marks = Array.init (hi + 1) (fun _ -> Atomic.make 0) in
-      Pool.parallel_for p ?chunk ~lo ~hi (fun i -> Atomic.incr marks.(i));
-      Array.iteri
-        (fun i c ->
-          let want = if i >= lo && i <= hi then 1 else 0 in
-          Alcotest.(check int) (Printf.sprintf "index %d" i) want (Atomic.get c))
-        marks;
-      (* Empty range is a no-op. *)
-      Pool.parallel_for p ~lo:5 ~hi:4 (fun _ -> Alcotest.fail "empty range ran"))
-    [ (1, None); (2, None); (4, Some 7) ]
-
 let test_static_for () =
   (* The precompiled batch runs every index exactly once per trigger,
      for any domain count, and survives repeated dispatch. *)
@@ -393,40 +361,6 @@ let test_mux_domain_invariant () =
     ~pp:(fun r -> Printf.sprintf "mean_queue=%h" r.Mux.mean_queue)
     report
 
-let test_hosking_table_pool_invariant () =
-  (* par_cutoff far below n so the pooled step actually runs; the
-     pooled table must be bit-identical for every pool size. *)
-  let acf = Acf.fgn ~h:0.85 in
-  let n = 160 in
-  let probe t =
-    let xs = ref [] in
-    for k = n - 1 downto 0 do
-      xs := Hosking.Table.cond_var t k :: Hosking.Table.row_sum t k :: !xs
-    done;
-    Array.of_list !xs
-  in
-  let reference = ref [||] in
-  List.iter
-    (fun d ->
-      let p = Pool.create ~domains:d in
-      Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-      let t = Hosking.Table.make_pooled ~pool:p ~par_cutoff:32 ~acf ~n () in
-      let sig_ = probe t in
-      if d = 1 then reference := sig_
-      else if not (float_array_eq !reference sig_) then
-        Alcotest.failf "pooled table differs at domains=%d" d)
-    [ 1; 2; 4 ];
-  (* Sanity: the pooled recursion agrees with the sequential one to
-     numerical accuracy (chunked summation may differ in the ulps). *)
-  let seq = probe (Hosking.Table.make ~acf ~n) in
-  Array.iteri
-    (fun i v ->
-      if abs_float (v -. !reference.(i)) > 1e-9 *. (1.0 +. abs_float v) then
-        Alcotest.failf "pooled vs sequential table diverges at %d" i)
-    seq;
-  raises_invalid "par_cutoff < 2" (fun () ->
-      Hosking.Table.make_pooled ~par_cutoff:1 ~acf ~n:8 ())
-
 (* ------------------------------------------------------------------ *)
 (* Source table cache: structural key                                   *)
 (* ------------------------------------------------------------------ *)
@@ -551,8 +485,6 @@ let () =
           tc "map preserves order" test_pool_map_order;
           tc "items run exactly once" test_pool_exactly_once;
           tc "exceptions propagate" test_pool_exception_propagates;
-          tc "fold order fixed" test_pool_fold_order;
-          tc "parallel_for covers range" test_parallel_for_covers_range;
           tc "static_for reusable batch" test_static_for;
         ] );
       ( "barrier",
@@ -574,7 +506,6 @@ let () =
           tc "Is.estimate domain-invariant" test_is_estimate_domain_invariant;
           tc "Mc.overflow_probability domain-invariant" test_mc_domain_invariant;
           tc "Mux.run domain-invariant" test_mux_domain_invariant;
-          tc "Hosking table pool-invariant" test_hosking_table_pool_invariant;
         ] );
       ( "regressions",
         [
