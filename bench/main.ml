@@ -479,7 +479,15 @@ let abl_gen () =
     pf "%-18s  %8.4f s/path  rms-acf-err %.4f\n" name (!time /. float_of_int paths)
       (!errs /. float_of_int paths)
   in
-  bench "hosking-table" (fun rng -> Hosking.generate table rng);
+  (* The exact path over the whole table: a block generator at the
+     table's last row. *)
+  let table_path rng =
+    let blk = Hosking.Block.create ~table ~order:(n - 1) () in
+    let x = Array.make n 0.0 in
+    Hosking.Block.fill blk rng x ~off:0 ~len:n;
+    x
+  in
+  bench "hosking-table" table_path;
   bench "hosking-stream" (fun rng -> Hosking.generate_stream ~acf ~n rng);
   let plan = DH.plan ~acf ~n in
   bench "davies-harte" (fun rng -> DH.generate plan rng);
@@ -2458,6 +2466,7 @@ let perf () =
   let m = model () in
   let xs = Array.init 4096 (fun _ -> Rng.gaussian rng) in
   let arrivals = Array.init 4096 (fun _ -> abs_float (Rng.gaussian rng)) in
+  let path = Array.make 1024 0.0 in
   let is_cfg =
     Is.make_config ~table:fgn_table ~arrival:(fun _ x -> x) ~service:0.5 ~buffer:8.0
       ~horizon:1024 ~twist:1.0 ()
@@ -2465,7 +2474,8 @@ let perf () =
   let tests =
     [
       Test.make ~name:"hosking-table-path-1024" (Staged.stage (fun () ->
-          ignore (Hosking.generate fgn_table rng)));
+          let blk = Hosking.Block.create ~table:fgn_table ~order:1023 () in
+          Hosking.Block.fill blk rng path ~off:0 ~len:1024));
       Test.make ~name:"davies-harte-path-4096" (Staged.stage (fun () ->
           ignore (DH.generate dh_plan rng)));
       Test.make ~name:"transform-apply-4096" (Staged.stage (fun () ->

@@ -8,7 +8,11 @@ type t = {
   h : float -> float;
   cdf_into : float array -> off:int -> len:int -> unit;
       (* the in-place form of the CDF [h] is built over *)
+  mean : float;  (* E h(X), X standard normal *)
+  variance : float;  (* max 0 (E h(X)^2 - mean^2) *)
 }
+
+let quad_n = 128
 
 let[@inline] clamp_gauss x = if x > 8.0 then 8.0 else if x < -8.0 then -8.0 else x
 
@@ -20,7 +24,12 @@ let make_with_cdf cdf cdf_into dist =
        term is likewise strictly positive at |x| = 8). *)
     dist.Dist.quantile p
   in
-  { dist; h; cdf_into }
+  (* The foreground moments, once per transform: every source built
+     over it reads them, and each quadrature costs 128 evaluations of
+     [h] (about a microsecond each in an empirical tail). *)
+  let mean = Quad.gaussian_expectation ~n:quad_n (fun x -> h x) in
+  let m2 = Quad.gaussian_expectation ~n:quad_n (fun x -> let y = h x in y *. y) in
+  { dist; h; cdf_into; mean; variance = Stdlib.max 0.0 (m2 -. (mean *. mean)) }
 
 let make dist = make_with_cdf Special.normal_cdf Special.normal_cdf_into dist
 
@@ -36,6 +45,7 @@ let relax t =
   make_with_cdf Special.normal_cdf_relaxed cdf_into t.dist
 
 let dist t = t.dist
+let mean_variance t = (t.mean, t.variance)
 let apply1 t x = t.h x
 
 (* [h] stage by stage over the range: clamp, then the in-place CDF
@@ -59,16 +69,12 @@ let apply t xs =
   apply_into t ys ~off:0 ~len:(Array.length ys);
   ys
 
-let quad_n = 128
-
-let moments t =
-  let mu = Quad.gaussian_expectation ~n:quad_n t.h in
-  let m2 = Quad.gaussian_expectation ~n:quad_n (fun x -> t.h x *. t.h x) in
-  let hx = Quad.gaussian_expectation ~n:quad_n (fun x -> t.h x *. x) in
-  (mu, m2 -. (mu *. mu), hx)
-
+(* The stored variance is clamped at 0; [attenuation] and
+   [hermite_spectrum] refuse [var <= 0], so the clamp changes no
+   outcome of theirs. *)
 let attenuation t =
-  let _, var, hx = moments t in
+  let var = t.variance in
+  let hx = Quad.gaussian_expectation ~n:quad_n (fun x -> t.h x *. x) in
   if var <= 0.0 then invalid_arg "Transform.attenuation: degenerate transform";
   let a = hx *. hx /. var in
   (* Schwarz guarantees a <= 1; clip quadrature rounding. *)
@@ -115,7 +121,7 @@ let hermite_coefficient t ~k =
 
 (* Squared Hermite coefficients c_1^2 .. c_terms^2 over Var h. *)
 let hermite_spectrum t ~terms =
-  let _, var, _ = moments t in
+  let var = t.variance in
   if var <= 0.0 then invalid_arg "Transform: degenerate transform";
   Array.init terms (fun j ->
       let c = hermite_coefficient t ~k:(j + 1) in

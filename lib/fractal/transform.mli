@@ -33,6 +33,13 @@ val relax : t -> t
 val dist : t -> Ss_stats.Dist.t
 (** The target marginal. *)
 
+val mean_variance : t -> float * float
+(** [(E h(X), max 0 (E h(X)^2 - (E h(X))^2))] for standard normal
+    [X], each by 128-point Gauss–Hermite quadrature over {!apply1}:
+    the per-slot foreground mean and variance of a source built over
+    [t]. Computed once, when the transform is built ({!make},
+    {!relax}), and stored in it. *)
+
 val apply1 : t -> float -> float
 (** Evaluate [h] at one point. *)
 

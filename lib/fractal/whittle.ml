@@ -15,11 +15,22 @@ let pw_sum ~h lambda =
 (* Normalizing constant for unit process variance: the density must
    integrate to 1 over (-pi, pi). The integrand has a lambda^{1-2H}
    singularity at the origin, so integrate in log-lambda where it is
-   smooth. Cached per H. *)
-let norm_cache : (float, float) Hashtbl.t = Hashtbl.create 16
+   smooth. Cached per H in an immutable map swapped in by
+   compare-and-set, so concurrent domains read it without a lock; a
+   racing duplicate build is deterministic and the first one
+   published wins. *)
+module Float_map = Map.Make (Float)
+
+let norm_cache : float Float_map.t Atomic.t = Atomic.make Float_map.empty
+
+let rec publish h c =
+  let m = Atomic.get norm_cache in
+  match Float_map.find_opt h m with
+  | Some published -> published
+  | None -> if Atomic.compare_and_set norm_cache m (Float_map.add h c m) then c else publish h c
 
 let normalization ~h =
-  match Hashtbl.find_opt norm_cache h with
+  match Float_map.find_opt h (Atomic.get norm_cache) with
   | Some c -> c
   | None ->
     let integral =
@@ -30,9 +41,7 @@ let normalization ~h =
         ~lo:(log 1e-10)
         ~hi:(log (two_pi /. 2.0))
     in
-    let c = 1.0 /. (2.0 *. integral) in
-    Hashtbl.add norm_cache h c;
-    c
+    publish h (1.0 /. (2.0 *. integral))
 
 let fgn_spectral_density ~h lambda =
   if h <= 0.0 || h >= 1.0 then invalid_arg "Whittle.fgn_spectral_density: h outside (0,1)";

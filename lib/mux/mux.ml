@@ -310,25 +310,18 @@ let validate_checkpoint ?checkpoint ?resume sources =
    barrier (departure flags and slots) is written only by the owning
    shard.
 
-   A probe may stop the run by raising mid-slot (the importance
-   sampler's first-passage cutoff); its sources and likelihood
-   accumulators must then not have advanced past the crossing slot.
-   So a probed run stages one slot per block on one shard: every
-   source is pulled exactly as far as the slots the probe has seen. *)
+   A probe observes each slot after its accounting and may stop the
+   run by raising (the importance sampler's first-passage cut). Sources
+   have then been pulled to the end of the current block, so a probed
+   run caps its block at [probe_block]: at most [probe_block - 1]
+   slots are pulled past the one the probe sees. *)
+let probe_block = 32
+
 let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ])
     ?probe ?police ?trajectory ?checkpoint ?resume ~service ~slots sources =
   (match shards with
   | Some s when s < 1 -> invalid_arg "Mux.run: shards < 1"
   | _ -> ());
-  let probed = Option.is_some probe in
-  if probed then begin
-    (* Sharding is refused rather than silently degraded. *)
-    (match shards with
-    | Some s when s > 1 -> invalid_arg "Mux.run: ~probe requires shards = 1 (strict lock-step)"
-    | _ -> ());
-    if checkpoint <> None || resume <> None then
-      invalid_arg "Mux.run: ~probe is incompatible with checkpoint/resume (strict lock-step)"
-  end;
   if slots <= 0 then invalid_arg "Mux.run: slots <= 0";
   validate_checkpoint ?checkpoint ?resume sources;
   if service <= 0.0 then invalid_arg "Mux.run: service <= 0";
@@ -340,26 +333,23 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   | Some p when Police.size p <> n -> invalid_arg "Mux.run: policer sized for different sources"
   | _ -> ());
   let nshards =
-    if probed then 1
-    else
-      match (shards, pool) with
-      | Some s, _ -> Stdlib.min s n
-      | None, Some p -> Stdlib.min (Ss_parallel.Pool.size p) n
-      | None, None -> 1
+    match (shards, pool) with
+    | Some s, _ -> Stdlib.min s n
+    | None, Some p -> Stdlib.min (Ss_parallel.Pool.size p) n
+    | None, None -> 1
   in
-  let block =
-    if probed then 1
-    else Stdlib.min slots (Stdlib.max 8 (Stdlib.min max_sharded_block (staging_budget / n)))
-  in
+  let block = Stdlib.min slots (Stdlib.max 8 (Stdlib.min max_sharded_block (staging_budget / n))) in
   (* Snapshots only land on staging points, so a block longer than the
      requested cadence would silently skip them (a whole small run can
-     be one block). Capping the block at [every] is bitwise-free:
-     block size never enters the arithmetic. *)
+     be one block). Capping the block at [every], or at [probe_block]
+     under a probe, is bitwise-free: block size never enters the
+     arithmetic. *)
   let block =
     match checkpoint with
     | Some ck -> Stdlib.max 1 (Stdlib.min block ck.every)
     | None -> block
   in
+  let block = if Option.is_some probe then Stdlib.min block probe_block else block in
   let departed = Array.make n false in
   let departed_at = Array.make n (-1) in
   (* Source-major staging (shard-local writes: source i owns

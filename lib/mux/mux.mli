@@ -85,6 +85,10 @@ type checkpoint = {
     checkpointed under one configuration resumes bitwise under any
     other (enforced by test). *)
 
+val probe_block : int
+(** The longest block a probed {!run} stages: when its probe sees slot
+    [t], no source has been pulled past slot [t + probe_block - 1]. *)
+
 val run :
   ?pool:Ss_parallel.Pool.t ->
   ?shards:int ->
@@ -104,9 +108,13 @@ val run :
     [infinity] (pure delay system, no loss); [thresholds] (default
     empty) are the queue levels whose exceedance fractions the report
     records; [quantiles] (default [0.5; 0.9; 0.99]) are the P²
-    levels; [probe] (for tests/tracing) is called after every slot
-    with the slot index and the updated queue length, last in the
-    slot's accounting order.
+    levels; [probe] is called after every slot with the slot index
+    and the updated queue length, last in the slot's accounting
+    order. It only observes: a probed run's report is bitwise the
+    unprobed one's. It may end the run by raising (the importance
+    sampler's first-passage cut); the exception propagates out of
+    {!run}. Probed runs shard, checkpoint and resume like any
+    other.
 
     {b One sharded engine.} The sources are partitioned into
     [shards] contiguous shards (default: the pool's domain count, or
@@ -128,12 +136,11 @@ val run :
     pulls and restages a source's block, while every floating-point
     reduction runs on the caller in pinned source order. With
     [shards] larger than the source count, the excess shards are
-    empty (clamped). A [probe] gets strict per-slot lock-step (the
-    importance sampler stops runs mid-slot by raising from it): a
-    probed run stages one slot per block on one shard, so when the
-    probe sees slot [t] no source has been pulled past [t], with or
-    without [pool]. Combining [probe] with an explicit [shards > 1]
-    raises [Invalid_argument].
+    empty (clamped). A probed run stages blocks of at most
+    {!probe_block} slots, at any shard count, so when the probe sees
+    slot [t] every source has been pulled through slot [t] and at
+    most through [t + probe_block - 1]: a probe that stops the run
+    throws those extra pulls away.
 
     With [trajectory], a per-source service/delay trajectory is
     exported: after every slot the sink is called with [served.(i)] —
@@ -175,8 +182,8 @@ val run :
     [buffer < 0], [shards < 1], no sources, a quantile outside (0,1),
     a negative threshold, a source yields a class outside [0, 63],
     [police] was created for a different number of sources, a
-    checkpoint interval is < 1, checkpoint/resume is combined with
-    [probe], or a source does not support checkpointing
+    checkpoint interval is < 1, or a source does not support
+    checkpointing
     ({!Source.supports_checkpoint}).
     @raise Ss_checkpoint.Corrupt when [resume] does not match the
     reconstructed run or is structurally invalid. *)

@@ -71,30 +71,40 @@ exception Crossed of int
 let replicate cfg rng =
   let n = cfg.sources in
   let liks = Array.map Likelihood.stream_of_plan cfg.plans in
+  (* Each source logs its innovations in a ring of [Mux.probe_block]
+     slots: when the probe sees slot t, no source has been pulled past
+     slot t + probe_block - 1, so slot t's entry is still in place. *)
+  let ring = Mux.probe_block in
+  let logs = Array.init n (fun _ -> Array.make ring 0.0) in
   (* Substreams are split in source-index order on the replication's
      own substream, so the replication is a pure function of [rng]
      regardless of how replications are distributed over domains. *)
   let srcs =
     Array.init n (fun i ->
         let sub = Rng.split rng in
-        let lik = liks.(i) in
+        let log = logs.(i) in
         Source.of_model_twisted
           ~name:(Printf.sprintf "is%d" i)
           ~order:cfg.order
           ~shift:(Twist.shift (Likelihood.plan_profile cfg.plans.(i)))
-          ~probe:(fun ~k ~innovation -> Likelihood.stream_step lik ~k ~innovation)
+          ~probe:(fun ~k ~innovation -> Array.unsafe_set log (k mod ring) innovation)
           cfg.model sub)
   in
-  match
-    Mux.run ~quantiles:[] ~service:cfg.service ~slots:cfg.slots
-      ~probe:(fun t q -> if q > cfg.buffer then raise (Crossed t))
-      srcs
-  with
+  (* Per slot t, every accumulator takes step t before the crossing
+     test, so at the stop each has seen exactly the steps 0..t. *)
+  let observe t q =
+    let j = t mod ring in
+    for i = 0 to n - 1 do
+      Likelihood.stream_step liks.(i) ~k:t ~innovation:(Array.unsafe_get logs.(i) j)
+    done;
+    if q > cfg.buffer then raise (Crossed t)
+  in
+  match Mux.run ~quantiles:[] ~service:cfg.service ~slots:cfg.slots ~probe:observe srcs with
   | (_ : Mux.report) -> { hit = false; log_weight = neg_infinity; stop_slot = cfg.slots }
   | exception Crossed t ->
     (* Likelihood ratio of the joint (independent-sources) path at the
        stopping time: the product of per-source ratios, each cut off
-       at the innovations actually drawn. *)
+       at slot t. *)
     let lw = Array.fold_left (fun acc l -> acc +. Likelihood.stream_log_ratio l) 0.0 liks in
     { hit = true; log_weight = lw; stop_slot = t + 1 }
 

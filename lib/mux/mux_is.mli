@@ -9,18 +9,24 @@
     default — the aggregate drift is then [N] times the per-source
     shift's foreground effect). Histories store untwisted values, so
     each source's exact log likelihood ratio is accumulated by a
-    streaming {!Ss_fastsim.Likelihood} accumulator fed from the
-    source's innovation probe — the O(order)-memory truncated-Hosking
-    generalization, matching the {!Ss_fractal.Hosking.Block}
-    recursion the sources themselves run. Because the sources are independent, the joint ratio is the
+    streaming {!Ss_fastsim.Likelihood} accumulator — the
+    O(order)-memory truncated-Hosking generalization, matching the
+    {!Ss_fractal.Hosking.Block} recursion the sources themselves run.
+    Because the sources are independent, the joint ratio is the
     product (log: sum) of per-source ratios.
 
     The overflow event is the first passage of the {!Mux.run} shared
     queue (pure-delay, Lindley recursion from empty) above the
-    [buffer] threshold within [slots] slots. A replication stops at
-    first passage; the likelihood ratio evaluated at the stopping
-    time keeps the estimator [1/N sum I_n L_n] unbiased (optional
-    stopping), and weights are combined in the log domain
+    [buffer] threshold within [slots] slots. The run stages normal
+    blocks of up to {!Mux.probe_block} slots. Each source logs its
+    innovations in a ring of that length as it is pulled; after slot
+    [t]'s accounting the mux probe steps every accumulator through
+    slot [t], in source order, and then tests [q > buffer]. A
+    replication stops at first passage, so its likelihood ratio covers
+    exactly the slots up to the stop; the slots already pulled past
+    it are thrown away with the replication's sources. The ratio at
+    the stopping time keeps the estimator [1/N sum I_n L_n] unbiased
+    (optional stopping), and weights are combined in the log domain
     ({!Ss_queueing.Mc.estimate_of_log_samples}) so deep-buffer runs
     never underflow the figure of merit.
 

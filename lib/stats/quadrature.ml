@@ -53,19 +53,28 @@ let physicists_nodes n =
   done;
   (x, w)
 
-let cache : (int, (float * float) array) Hashtbl.t = Hashtbl.create 8
+(* Node sets by [n], shared by every domain: an immutable map swapped
+   in by compare-and-set, so readers take no lock. Two domains missing
+   the same [n] at once both build it; the build is deterministic, and
+   the loser returns the winner's (bitwise equal) array. *)
+module Int_map = Map.Make (Int)
+
+let cache : (float * float) array Int_map.t Atomic.t = Atomic.make Int_map.empty
+
+let rec publish n nodes =
+  let m = Atomic.get cache in
+  match Int_map.find_opt n m with
+  | Some published -> published
+  | None ->
+    if Atomic.compare_and_set cache m (Int_map.add n nodes m) then nodes else publish n nodes
 
 let hermite_nodes ~n =
   if n <= 0 || n > 256 then invalid_arg "Quadrature.hermite_nodes: n outside [1,256]";
-  match Hashtbl.find_opt cache n with
+  match Int_map.find_opt n (Atomic.get cache) with
   | Some nodes -> nodes
   | None ->
     let x, w = physicists_nodes n in
-    let nodes =
-      Array.init n (fun i -> (sqrt 2.0 *. x.(i), w.(i) /. sqrt_pi))
-    in
-    Hashtbl.add cache n nodes;
-    nodes
+    publish n (Array.init n (fun i -> (sqrt 2.0 *. x.(i), w.(i) /. sqrt_pi)))
 
 let gaussian_expectation ?(n = 96) f =
   let nodes = hermite_nodes ~n in

@@ -873,6 +873,58 @@ let test_hermite_invalid () =
   raises_invalid "n = 0" (fun () -> Quad.hermite_nodes ~n:0);
   raises_invalid "n too big" (fun () -> Quad.hermite_nodes ~n:257)
 
+(* Digests of the (node, weight) bits for n = 240..255, each built
+   sequentially on one domain. *)
+let hermite_digests =
+  [
+    (240, "8f06561a6af2aa935ad2148a034c7fe8");
+    (241, "85658cbd1adf7b6baf55d3dbe959ac08");
+    (242, "1048f67fd7f68b47211272fe19a3261c");
+    (243, "21603bdc4a79357ac2436a90d5acc0f4");
+    (244, "000731cfb248352a0719efdbd704036a");
+    (245, "71bf2cf986d82b5ac504e22909235371");
+    (246, "c9900de1b74e6b65e95a133fe12e38b4");
+    (247, "b9725665f6789493442183d4660cd869");
+    (248, "edb5debd0669793c787efa06f0efed94");
+    (249, "20cab12739d8eb7e7ef8a02501998b11");
+    (250, "e1c472de19b15f0e3f304ec636b826a5");
+    (251, "89d92dd45f9f4e302e3ed5aeef88f447");
+    (252, "b8d00550cdfe78993856ea0acd9850a8");
+    (253, "96458f1ed7e41e9868940d3b0751590a");
+    (254, "2eaeb9f664194eb32fe1b2922cc39f58");
+    (255, "7a164dbf330225439fdb870cfbd44776");
+  ]
+
+let nodes_digest nodes =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (x, w) ->
+      Buffer.add_int64_le b (Int64.bits_of_float x);
+      Buffer.add_int64_le b (Int64.bits_of_float w))
+    nodes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_hermite_nodes_domains () =
+  (* Four domains ask for distinct, not yet built node counts at once
+     (domain d takes n = 240 + d, 244 + d, ...). Each gets the
+     sequential build bitwise, and a later lookup on this domain
+     returns the very array it got: no insertion was lost. *)
+  let got =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            List.init 4 (fun j ->
+                let n = 240 + d + (4 * j) in
+                (n, Quad.hermite_nodes ~n))))
+    |> List.concat_map Domain.join
+  in
+  List.iter
+    (fun (n, nodes) ->
+      Alcotest.(check string)
+        (Printf.sprintf "n=%d digest" n)
+        (List.assoc n hermite_digests) (nodes_digest nodes);
+      if Quad.hermite_nodes ~n != nodes then Alcotest.failf "n=%d: cache lost the build" n)
+    got
+
 let test_simpson_polynomial () =
   let v = Quad.simpson (fun x -> x *. x) ~lo:0.0 ~hi:3.0 in
   close ~eps:1e-9 "int x^2" 9.0 v
@@ -1111,6 +1163,7 @@ let () =
           tc "hermite symmetry" test_hermite_nodes_symmetric;
           tc "non-polynomial expectations" test_hermite_gaussian_expectation_nonpoly;
           tc "hermite invalid" test_hermite_invalid;
+          tc "hermite nodes across domains" test_hermite_nodes_domains;
           tc "simpson polynomial" test_simpson_polynomial;
           tc "simpson trig" test_simpson_trig;
           tc "simpson empty" test_simpson_empty_interval;
